@@ -1,30 +1,33 @@
-"""Costing-engine throughput: suitebatch vs compiled vs legacy.
+"""Costing throughput on a fresh machine: per-op path vs one-machine grid.
 
-The workload is the one the repo actually repeats: cost every registered
+The workload is the one the suite actually runs: cost every registered
 trace — the 13 NCAR kernels plus the three applications — on the
-calibrated SX-4, the way every table regeneration and parameter sweep
-does.  Three engines cost it:
+calibrated SX-4.  One ``python -m repro.suite`` makes ~1000 small
+``Processor.execute`` calls, most of them the first sight of their
+machine, trace and dilation, so this benchmark times costing on a
+*fresh* machine each round and never a memo hit:
 
-* ``legacy`` walks every op in Python — the reference;
-* ``compiled`` lowers each trace to structure-of-arrays columns once
-  and memoises the machine-dependent per-op cost vectors, so
-  steady-state re-costing collapses to a handful of NumPy expressions
-  per trace;
-* ``suitebatch`` stacks all 16 traces' columns into one ragged tensor
-  and costs the whole suite in a single kernel pass, segment-reducing
-  back to per-trace reports — the per-trace Python loop disappears.
+* ``per_op`` — :meth:`Processor.execute` over the 16 traces on a newly
+  built SX-4, the path every single-machine costing takes;
+* ``grid`` — :func:`cost_suite_trace_grid` of the stacked suite on a
+  newly built one-machine :class:`MachineGrid`, the path sweeps take
+  (there the machine axis is hundreds wide, not one).
 
-This benchmark measures all three in steady state (caches warm — the
-sweep regime), asserts the engines agree *exactly* first, and records
-the result in ``BENCH_engine.json``.
+The traces are built, and for the grid lowered and stacked, before the
+timed rounds: that machine-independent work is reported separately as
+the ``*_cold_s`` fields, measured once on freshly built traces.
 
-Standalone (writes the JSON report, exit 1 on parity drift or a missed
-speedup gate)::
+Before timing, the exact parity gate: per-op vs grid on every registered
+trace × the six canonical presets × dilations {1.0, 1.37}, every field
+compared with ``==``.  The result goes to ``BENCH_engine.json``.
+
+Standalone (writes the JSON report; exit 1 on parity drift or, with
+``--baseline``, on a fresh-costing regression)::
 
     python benchmarks/bench_costing_throughput.py \\
-        --min-speedup 10 --min-suitebatch-speedup 3
+        --baseline BENCH_engine.json --max-slowdown 0.25
 
-Under pytest the parity gates run as ordinary tests::
+Under pytest the parity gate runs as an ordinary test::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_costing_throughput.py
 """
@@ -38,28 +41,24 @@ import time
 from pathlib import Path
 
 from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace
+from repro.machine.compiled import SuiteColumns
+from repro.machine.grid import MachineGrid, cost_suite_trace_grid
 from repro.machine.operations import Trace
 from repro.machine.presets import canonical_machines, sx4_processor
 from repro.machine.processor import Processor
-from repro.machine.suitebatch import SuiteColumns, cost_suite_batch
 
 __all__ = [
     "build_suite",
     "parity_machines",
     "check_parity",
-    "measure_engine",
-    "measure_suitebatch",
+    "measure_per_op",
+    "measure_grid",
     "run_benchmark",
     "main",
 ]
 
-#: Exactly-compared ExecutionReport quantities (name -> getter).
-PARITY_FIELDS = (
-    ("cycles", lambda r: r.cycles),
-    ("seconds", lambda r: r.seconds),
-    ("mflops", lambda r: r.mflops),
-    ("bandwidth_bytes_per_s", lambda r: r.bandwidth_bytes_per_s),
-)
+#: Exactly-compared quantities, named as on ExecutionReport and GridTraceCost.
+PARITY_FIELDS = ("cycles", "seconds", "mflops", "bandwidth_bytes_per_s")
 
 
 def build_suite() -> list[tuple[str, Trace]]:
@@ -77,136 +76,100 @@ def check_parity(
     machines: list[Processor],
     dilations: tuple[float, ...] = (1.0, 1.37),
 ) -> list[str]:
-    """Exact three-way comparison; returns mismatch descriptions.
+    """Exact per-op vs grid comparison; returns mismatch descriptions.
 
-    Legacy vs compiled per trace, then the whole stacked suite through
-    :func:`cost_suite_batch` vs compiled — every field compared with
-    ``==``, never a tolerance.
+    Every machine's ``Processor.execute`` report against its column of
+    the stacked suite costed on a grid of all the machines — every field
+    compared with ``==``, never a tolerance.
     """
     mismatches: list[str] = []
     stacked = SuiteColumns.from_traces(suite)
-    for processor in machines:
-        for dilation in dilations:
-            batch = cost_suite_batch(processor, stacked, dilation)
-            for position, (trace_id, trace) in enumerate(suite):
-                legacy = processor.execute(trace, dilation, engine="legacy")
-                compiled = processor.execute(trace, dilation, engine="compiled")
-                for field, get in PARITY_FIELDS:
-                    lhs, rhs = get(legacy), get(compiled)
-                    if lhs != rhs:
+    grid = MachineGrid.from_processors(machines)
+    for dilation in dilations:
+        costs = cost_suite_trace_grid(stacked, grid, dilation)
+        for (trace_id, trace), cost in zip(suite, costs):
+            for j, processor in enumerate(machines):
+                report = processor.execute(trace, dilation)
+                for field in PARITY_FIELDS:
+                    per_op, from_grid = getattr(report, field), getattr(cost, field)[j]
+                    if per_op != from_grid:
                         mismatches.append(
                             f"{processor.name} / {trace_id} / dilation {dilation}: "
-                            f"{field} legacy={lhs!r} compiled={rhs!r}"
-                        )
-                    suitebatched = get(batch[position])
-                    if suitebatched != rhs:
-                        mismatches.append(
-                            f"{processor.name} / {trace_id} / dilation {dilation}: "
-                            f"{field} suitebatch={suitebatched!r} compiled={rhs!r}"
+                            f"{field} per-op={per_op!r} grid={from_grid!r}"
                         )
     return mismatches
 
 
-def _cost_suite(processor: Processor, suite: list[tuple[str, Trace]], engine: str) -> float:
-    total = 0.0
-    for _, trace in suite:
-        total += processor.execute(trace, engine=engine).seconds
-    return total
-
-
-def measure_engine(
-    processor: Processor,
-    suite: list[tuple[str, Trace]],
-    engine: str,
-    rounds: int = 5,
-    repeats: int = 20,
-) -> float:
-    """Best-of-``rounds`` seconds for one steady-state full-suite costing.
-
-    One untimed pass first: for the compiled engine it populates the
-    per-trace columns and the machine-cached cost vectors, which is the
-    regime every sweep after the first point runs in.
-    """
-    _cost_suite(processor, suite, engine)
+def _best_of(rounds: int, once) -> float:
     best = float("inf")
     for _ in range(rounds):
         start = time.perf_counter()
-        for _ in range(repeats):
-            _cost_suite(processor, suite, engine)
-        best = min(best, (time.perf_counter() - start) / repeats)
+        once()
+        best = min(best, time.perf_counter() - start)
     return best
 
 
-def measure_suitebatch(
-    processor: Processor,
-    stacked: SuiteColumns,
-    rounds: int = 5,
-    repeats: int = 20,
-) -> float:
-    """Best-of-``rounds`` seconds for one fused full-suite costing.
+def measure_per_op(suite: list[tuple[str, Trace]], rounds: int = 20) -> float:
+    """Best-of-``rounds`` seconds to cost the suite on a newly built SX-4."""
 
-    Same warm-cache regime as :func:`measure_engine`: the untimed pass
-    populates the stacked cost columns and the per-trace report memo,
-    after which a suite costing is one cache probe plus a list copy —
-    the per-trace Python loop is gone entirely.
-    """
-    cost_suite_batch(processor, stacked)
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(repeats):
-            reports = cost_suite_batch(processor, stacked)
-            total = 0.0
-            for report in reports:
-                total += report.seconds
-        best = min(best, (time.perf_counter() - start) / repeats)
-    return best
+    def once() -> None:
+        processor = sx4_processor()
+        for _, trace in suite:
+            processor.execute(trace)
+
+    return _best_of(rounds, once)
 
 
-def run_benchmark(rounds: int = 5, repeats: int = 20) -> dict:
+def measure_grid(stacked: SuiteColumns, rounds: int = 20) -> float:
+    """Best-of-``rounds`` seconds to cost the stack on a newly built
+    one-machine grid."""
+
+    def once() -> None:
+        cost_suite_trace_grid(stacked, MachineGrid.from_processors([sx4_processor()]))
+
+    return _best_of(rounds, once)
+
+
+def run_benchmark(rounds: int = 20) -> dict:
     """Parity gate + timing; returns the BENCH_engine.json payload."""
     suite = build_suite()
     mismatches = check_parity(suite, parity_machines())
-    processor = sx4_processor()
 
-    # Cold compiled pass on fresh traces: compile + first costing, the
-    # price a one-shot run pays before the caches exist.
+    # Cold passes on freshly built traces: the machine-independent
+    # accounting (and, for the grid, lowering and stacking) is paid here.
     cold_suite = build_suite()
     start = time.perf_counter()
-    _cost_suite(processor, cold_suite, "compiled")
-    compiled_cold_s = time.perf_counter() - start
-
-    # Cold suitebatch pass: stack + first fused costing on fresh traces.
-    cold_stack_suite = build_suite()
+    processor = sx4_processor()
+    for _, trace in cold_suite:
+        processor.execute(trace)
+    per_op_cold_s = time.perf_counter() - start
+    cold_suite = build_suite()
     start = time.perf_counter()
-    cost_suite_batch(processor, SuiteColumns.from_traces(cold_stack_suite))
-    suitebatch_cold_s = time.perf_counter() - start
+    cost_suite_trace_grid(
+        SuiteColumns.from_traces(cold_suite), MachineGrid.from_processors([sx4_processor()])
+    )
+    grid_cold_s = time.perf_counter() - start
 
-    legacy_s = measure_engine(processor, suite, "legacy", rounds, repeats)
-    compiled_s = measure_engine(processor, suite, "compiled", rounds, repeats)
-    stacked = SuiteColumns.from_traces(suite)
-    suitebatch_s = measure_suitebatch(processor, stacked, rounds, repeats)
+    per_op_s = measure_per_op(suite, rounds)
+    grid_s = measure_grid(SuiteColumns.from_traces(suite), rounds)
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "benchmark": "costing_throughput",
         "machine": processor.name,
-        "workload": "cost all registered traces once (steady state, caches warm)",
+        "workload": (
+            "cost all registered traces once on a newly built machine per round "
+            "(no memo hits); traces built and lowered before timing"
+        ),
         "traces": len(suite),
         "ops": sum(len(trace) for _, trace in suite),
         "rounds": rounds,
-        "repeats": repeats,
-        "legacy_s_per_suite": legacy_s,
-        "compiled_s_per_suite": compiled_s,
-        "compiled_cold_s": compiled_cold_s,
-        "suitebatch_s_per_suite": suitebatch_s,
-        "suitebatch_cold_s": suitebatch_cold_s,
-        "speedup": legacy_s / compiled_s if compiled_s > 0 else float("inf"),
-        "suitebatch_speedup_vs_compiled": (
-            compiled_s / suitebatch_s if suitebatch_s > 0 else float("inf")
-        ),
+        "per_op_fresh_s_per_suite": per_op_s,
+        "grid_fresh_s_per_suite": grid_s,
+        "per_op_cold_s": per_op_cold_s,
+        "grid_cold_s": grid_cold_s,
         "parity": {
-            "fields": [field for field, _ in PARITY_FIELDS],
-            "engines": ["legacy", "compiled", "suitebatch"],
+            "fields": list(PARITY_FIELDS),
+            "paths": ["per_op", "grid"],
             "machines_checked": len(parity_machines()),
             "traces_checked": len(suite),
             "exact": not mismatches,
@@ -215,93 +178,58 @@ def run_benchmark(rounds: int = 5, repeats: int = 20) -> dict:
     }
 
 
-def test_engines_agree_exactly():
-    """Pytest face of the parity gate: zero drift on every machine/trace,
-    across all three engines (legacy, compiled, suitebatch)."""
+def test_per_op_and_grid_agree_exactly():
+    """Pytest face of the parity gate: zero drift on every machine/trace."""
     assert check_parity(build_suite(), parity_machines()) == []
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark suitebatch/compiled/legacy trace costing; "
+        description="Benchmark fresh-machine suite costing (per-op and grid); "
                     "write BENCH_engine.json."
     )
-    parser.add_argument("--rounds", type=int, default=5,
-                        help="timing rounds per engine (best is kept)")
-    parser.add_argument("--repeats", type=int, default=20,
-                        help="suite costings per round")
+    parser.add_argument("--rounds", type=int, default=20,
+                        help="timed rounds per path (best is kept)")
     parser.add_argument("--out", default=str(Path(__file__).resolve().parent.parent
                                              / "BENCH_engine.json"),
                         help="report path (default: repo-root BENCH_engine.json)")
-    parser.add_argument("--min-speedup", type=float, default=None, metavar="X",
-                        help="fail unless compiled is at least X times faster "
-                             "than legacy")
-    parser.add_argument("--min-suitebatch-speedup", type=float, default=None,
-                        metavar="X",
-                        help="fail unless the fused suitebatch costing is at "
-                             "least X times faster than compiled (same-run "
-                             "ratio, machine-independent)")
     parser.add_argument("--baseline", default=None, metavar="PATH",
                         help="committed BENCH_engine.json to regress against")
     parser.add_argument("--max-slowdown", type=float, default=0.25, metavar="F",
-                        help="fail when compiled_s_per_suite (or, when the "
-                             "baseline records it, suitebatch_s_per_suite) "
-                             "exceeds the baseline by more than this "
-                             "fraction (default: 0.25)")
+                        help="fail when per_op_fresh_s_per_suite exceeds the "
+                             "baseline by more than this fraction (default: 0.25)")
     args = parser.parse_args(argv if argv is not None else sys.argv[1:])
 
-    payload = run_benchmark(rounds=args.rounds, repeats=args.repeats)
+    payload = run_benchmark(rounds=args.rounds)
     Path(args.out).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
     parity = payload["parity"]
     print(f"traces: {payload['traces']} ({payload['ops']} ops) on {payload['machine']}")
-    print(f"legacy:     {payload['legacy_s_per_suite'] * 1e3:8.3f} ms / suite")
-    print(f"compiled:   {payload['compiled_s_per_suite'] * 1e3:8.3f} ms / suite "
-          f"(cold first pass {payload['compiled_cold_s'] * 1e3:.3f} ms)")
-    print(f"suitebatch: {payload['suitebatch_s_per_suite'] * 1e3:8.3f} ms / suite "
-          f"(cold stack + cost {payload['suitebatch_cold_s'] * 1e3:.3f} ms)")
-    print(f"speedup:  {payload['speedup']:.1f}x compiled vs legacy, "
-          f"{payload['suitebatch_speedup_vs_compiled']:.1f}x suitebatch "
-          f"vs compiled")
-    print(f"parity:   {'exact' if parity['exact'] else 'DRIFT'} over "
-          f"{parity['machines_checked']} machines x {parity['traces_checked']} "
-          f"traces x {len(parity['engines'])} engines")
-    print(f"report:   {args.out}")
+    print(f"per-op: {payload['per_op_fresh_s_per_suite'] * 1e3:8.3f} ms / suite, fresh "
+          f"machine (cold first pass {payload['per_op_cold_s'] * 1e3:.3f} ms)")
+    print(f"grid:   {payload['grid_fresh_s_per_suite'] * 1e3:8.3f} ms / suite, fresh "
+          f"machine (cold lower + stack + cost {payload['grid_cold_s'] * 1e3:.3f} ms)")
+    print(f"parity: {'exact' if parity['exact'] else 'DRIFT'} over "
+          f"{parity['machines_checked']} machines x {parity['traces_checked']} traces")
+    print(f"report: {args.out}")
 
     if not parity["exact"]:
         for line in parity["mismatches"][:20]:
             print(f"  parity drift: {line}", file=sys.stderr)
         return 1
-    if args.min_speedup is not None and payload["speedup"] < args.min_speedup:
-        print(f"error: speedup {payload['speedup']:.1f}x below required "
-              f"{args.min_speedup:g}x", file=sys.stderr)
-        return 1
-    if (
-        args.min_suitebatch_speedup is not None
-        and payload["suitebatch_speedup_vs_compiled"] < args.min_suitebatch_speedup
-    ):
-        print(f"error: suitebatch speedup "
-              f"{payload['suitebatch_speedup_vs_compiled']:.1f}x below "
-              f"required {args.min_suitebatch_speedup:g}x", file=sys.stderr)
-        return 1
     if args.baseline is not None:
         baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
-        gates = [("compiled_s_per_suite", "compiled")]
-        if "suitebatch_s_per_suite" in baseline:
-            gates.append(("suitebatch_s_per_suite", "suitebatch"))
-        for key, label in gates:
-            reference = float(baseline[key])
-            measured = payload[key]
-            slowdown = measured / reference - 1.0
-            print(f"baseline: {label} {reference * 1e3:8.3f} ms / suite "
-                  f"({args.baseline}); slowdown {slowdown:+.1%} "
-                  f"(gate {args.max_slowdown:+.0%})")
-            if slowdown > args.max_slowdown:
-                print(f"error: {label} costing regressed {slowdown:+.1%} vs "
-                      f"baseline (allowed {args.max_slowdown:+.0%}): "
-                      f"{measured * 1e3:.3f} ms vs {reference * 1e3:.3f} ms",
-                      file=sys.stderr)
-                return 1
+        key = "per_op_fresh_s_per_suite"
+        reference = float(baseline[key])
+        slowdown = payload[key] / reference - 1.0
+        print(f"baseline: per-op {reference * 1e3:8.3f} ms / suite ({args.baseline}); "
+              f"slowdown {slowdown:+.1%} (gate {args.max_slowdown:+.0%})")
+        if slowdown > args.max_slowdown:
+            print(f"error: fresh per-op costing regressed {slowdown:+.1%} vs "
+                  f"baseline (allowed {args.max_slowdown:+.0%}): "
+                  f"{payload[key] * 1e3:.3f} ms vs {reference * 1e3:.3f} ms",
+                  file=sys.stderr)
+            return 1
     return 0
 
 

@@ -6,11 +6,11 @@ at the calibrated SX-4 (clock x pipes x banks), with the six canonical
 presets embedded as the parity anchor.  The grid path prices all
 machines in one broadcasted pass per trace; the loop baseline
 materializes each grid row as a :class:`Processor` and executes the
-suite per machine on the compiled engine — the best the repo could do
-before :mod:`repro.machine.grid`.
+suite per machine with :meth:`Processor.execute` — the single-machine
+costing path.
 
 The parity gate runs first and is exact: every canonical preset's
-embedded grid column must equal its per-machine compiled report
+embedded grid column must equal its ``Processor.execute`` report
 bit-for-bit on every trace and field.  Results land in
 ``BENCH_explore.json`` (same shape conventions as ``BENCH_engine.json``).
 
@@ -77,10 +77,10 @@ def build_sweep(points: int) -> ParameterSweep:
 
 
 def check_grid_parity(grid: MachineGrid) -> list[str]:
-    """Exact grid-vs-compiled comparison on the embedded canonical presets.
+    """Exact grid-vs-per-op comparison on the embedded canonical presets.
 
     The presets occupy the first rows of an ``include_presets`` grid;
-    each must match its per-machine compiled execution bit-for-bit on
+    each must match its ``Processor.execute`` report bit-for-bit on
     every registered trace.
     """
     machines = canonical_machines()
@@ -98,23 +98,22 @@ def check_grid_parity(grid: MachineGrid) -> list[str]:
                 from repro.machine.grid import cost_trace_grid
 
                 cost = cost_trace_grid(trace, grid)
-            report = processor.execute(trace, engine="compiled")
+            report = processor.execute(trace)
             for field, get, column in PARITY_FIELDS:
                 lhs, rhs = get(report), float(getattr(cost, column)[j])
                 if lhs != rhs:
                     mismatches.append(
                         f"{name} / {trace_id}: {field} "
-                        f"compiled={lhs!r} grid={rhs!r}"
+                        f"per-op={lhs!r} grid={rhs!r}"
                     )
     return mismatches
 
 
 def measure_grid(sweep: ParameterSweep, rounds: int = 3) -> tuple[float, int]:
-    """Best-of-``rounds`` seconds for one cold full-suite grid costing.
+    """Best-of-``rounds`` seconds for one full-suite grid costing.
 
-    Each round rebuilds the grid so the per-trace cost memo starts
-    empty — the honest "price a new design space" number, not a
-    dictionary lookup.
+    Each round rebuilds the grid — the "price a new design space"
+    number.
     """
     best = float("inf")
     n_machines = 0
@@ -128,7 +127,7 @@ def measure_grid(sweep: ParameterSweep, rounds: int = 3) -> tuple[float, int]:
 
 
 def measure_loop(grid: MachineGrid, sample: int = LOOP_SAMPLE_MACHINES) -> tuple[float, int]:
-    """Seconds per machine for the per-machine compiled-loop baseline.
+    """Seconds per machine for the per-machine ``Processor.execute`` loop.
 
     Materializes ``sample`` grid rows and executes the full suite on
     each; returns (seconds per machine, machines actually timed).
@@ -139,7 +138,7 @@ def measure_loop(grid: MachineGrid, sample: int = LOOP_SAMPLE_MACHINES) -> tuple
     start = time.perf_counter()
     for processor in processors:
         for trace in suite:
-            processor.execute(trace, engine="compiled")
+            processor.execute(trace)
     elapsed = time.perf_counter() - start
     return elapsed / sample, sample
 
@@ -185,7 +184,7 @@ def run_benchmark(points: int = 1000, rounds: int = 3) -> dict:
     }
 
 
-def test_grid_matches_compiled_on_embedded_presets():
+def test_grid_matches_per_op_on_embedded_presets():
     """Pytest face of the parity gate: zero drift on the canonical rows."""
     assert check_grid_parity(build_sweep(50).build()) == []
 

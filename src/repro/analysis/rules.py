@@ -27,10 +27,10 @@ trace-level rules (VEC004/5) judge the aggregate.  A rule is a callable
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.machine.compiled import compile_trace, fsum
 from repro.machine.operations import INTRINSIC_FLOP_EQUIV, ScalarOp, Trace, VectorOp
 from repro.machine.processor import Processor
 
@@ -186,9 +186,12 @@ def rule_vec004_scalar_dominated(trace: Trace, processor: Processor) -> list[Dia
     so any trace whose scalar bookkeeping exceeds ~30% of modelled time is
     style-broken.  Impact is the Amdahl bound 1/(1-f) currently forfeited.
     """
-    compiled = compile_trace(trace)
-    scalar_cycles = fsum(processor.scalar_op_cycles_batch(compiled))
-    vector_cycles = fsum(processor.vector_op_cycles_batch(compiled))
+    scalar_cycles = math.fsum(
+        processor.scalar_op_cycles(op) for op in trace if isinstance(op, ScalarOp)
+    )
+    vector_cycles = math.fsum(
+        processor.vector_op_cycles(op) for op in trace if isinstance(op, VectorOp)
+    )
     total_cycles = scalar_cycles + vector_cycles
     if total_cycles <= 0:
         return []

@@ -41,11 +41,10 @@ from repro.kernels import (
     vfft,
     xpose,
 )
+from repro.machine.compiled import SuiteColumns
 from repro.machine.operations import Trace
 from repro.machine.presets import sx4_processor
 from repro.machine.processor import Processor
-from repro.machine.suitebatch import SuiteColumns
-from repro.perfmon.collector import record as perfmon_record
 
 __all__ = [
     "MAX_FINDINGS_PER_RULE",
@@ -220,11 +219,9 @@ def build_registered_trace(trace_id: str) -> Trace:
 def build_suite_columns(trace_ids=None) -> SuiteColumns:
     """Build and stack the registered trace suite (all 16 by default).
 
-    This is the *derive* path of the suitebatch engine — the cost a
-    fresh process pays when no shared column segment is available to
-    attach to (counted under ``suitebatch.derives``).  It lives here
-    rather than in :mod:`repro.machine.suitebatch` because only the
-    analysis layer knows the trace registry: the machine layer keeps
+    The input of :func:`repro.machine.grid.cost_suite_trace_grid`.  It
+    lives here rather than in :mod:`repro.machine.compiled` because only
+    the analysis layer knows the trace registry: the machine layer keeps
     no edge to it, so kernel dependency closures stay per-kernel.
     """
     ids = tuple(TRACE_BUILDERS) if trace_ids is None else tuple(trace_ids)
@@ -233,11 +230,9 @@ def build_suite_columns(trace_ids=None) -> SuiteColumns:
         raise ValueError(
             f"unknown trace ids {unknown!r} (known: {list(TRACE_BUILDERS)})"
         )
-    suite = SuiteColumns.from_traces(
+    return SuiteColumns.from_traces(
         (trace_id, build_registered_trace(trace_id)) for trace_id in ids
     )
-    perfmon_record("suitebatch", {"derives": 1.0})
-    return suite
 
 
 def analyze_benchmark(

@@ -198,19 +198,6 @@ def _cmd_gc(args: argparse.Namespace) -> int:
         f"gc: {verb} {len(swept)} expired service job "
         f"record{'' if len(swept) == 1 else 's'}"
     )
-    from repro.engine.store import ColumnCache
-
-    orphaned = ColumnCache(store.root).sweep_orphans(dry_run=args.dry_run)
-    for segment in orphaned:
-        print(
-            f"{verb} orphaned column segment {segment.key[:16]} "
-            f"({segment.kind}, {fmt_bytes(segment.size_bytes)}, "
-            f"publisher pid {segment.owner_pid} dead)"
-        )
-    print(
-        f"gc: {verb} {len(orphaned)} orphaned column "
-        f"segment{'' if len(orphaned) == 1 else 's'}"
-    )
     return 0
 
 

@@ -42,14 +42,11 @@ __all__ = [
     "DEFAULT_STORE_ROOT",
     "STORE_SCHEMA",
     "CHUNK_SCHEMA",
-    "COLUMN_SCHEMA",
     "CachedResult",
     "StoreEntry",
     "StoreStats",
     "ResultStore",
     "ChunkStore",
-    "ColumnCache",
-    "ColumnSegment",
     "canonical_bytes",
     "payload_checksum",
 ]
@@ -57,10 +54,8 @@ __all__ = [
 DEFAULT_STORE_ROOT = ".repro-cache"
 STORE_SCHEMA = 2
 CHUNK_SCHEMA = 1
-COLUMN_SCHEMA = 1
 
 declare_counters("fault", ("quarantined",))
-declare_counters("colcache", ("publishes", "attaches", "orphans_swept"))
 
 
 def canonical_bytes(experiment: Experiment) -> bytes:
@@ -479,283 +474,3 @@ class ChunkStore:
         for entry in entries:
             entry.path.unlink(missing_ok=True)
         return len(entries)
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` is a live process (signal-0 probe, no signal sent)."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True  # alive, just not ours to signal
-    except OSError:
-        return False
-    return True
-
-
-@dataclass(frozen=True)
-class ColumnSegment:
-    """One published column payload, as described by its manifest."""
-
-    key: str  # sha256 of the payload bytes
-    kind: str  # "shm" (POSIX shared memory) or "file" (mmap-able .bin)
-    name: str  # shm segment name, or the .bin file name
-    size_bytes: int
-    owner_pid: int  # the publisher; liveness gates orphan sweeping
-    manifest: Path
-
-
-class ColumnCache:
-    """Publish-once, attach-many binary column segments for pool workers.
-
-    The engine's pool workers need the suite's stacked columns
-    (:func:`repro.machine.suitebatch.pack_suite` payloads); deriving
-    them is pure but costs a registry walk plus compilation per
-    process.  The parent publishes the payload once and workers attach:
-
-    * preferred transport is ``multiprocessing.shared_memory`` — one
-      copy of the bytes in the page cache no matter how many workers
-      attach;
-    * where POSIX shared memory is unavailable (or creation fails) the
-      payload falls back to a plain ``columns/<key>.bin`` file under
-      the store root, written atomically via ``tmp/`` + ``os.replace``.
-
-    Either way a ``columns/<key>.json`` manifest records the transport,
-    the segment name, the byte count, and the publishing PID.  Attach
-    verifies ``sha256(payload) == key`` before handing bytes out — a
-    torn or recycled segment reads as a miss, never as wrong columns.
-
-    Segments are content-addressed, so republishing identical columns
-    is idempotent.  A publisher killed before releasing leaves an
-    orphan; :meth:`sweep_orphans` reclaims segments whose ``owner_pid``
-    is no longer alive (``engine gc`` calls it).
-    """
-
-    def __init__(self, root: str | Path = DEFAULT_STORE_ROOT) -> None:
-        self.root = Path(root)
-        self.columns_dir = self.root / "columns"
-        self.tmp_dir = self.root / "tmp"
-
-    # ------------------------------------------------------------ paths
-    @staticmethod
-    def _check_key(key: str) -> None:
-        if len(key) != 64 or any(c not in "0123456789abcdef" for c in key):
-            raise ValueError(f"column key must be 64 lowercase hex chars, got {key!r}")
-
-    def manifest_path(self, key: str) -> Path:
-        self._check_key(key)
-        return self.columns_dir / f"{key}.json"
-
-    def _bin_path(self, key: str) -> Path:
-        return self.columns_dir / f"{key}.bin"
-
-    @staticmethod
-    def _shm_name(key: str) -> str:
-        return f"repro_{os.getpid()}_{key[:12]}"
-
-    # ------------------------------------------------------------ shm
-    @staticmethod
-    def _disown_shm(seg) -> None:
-        """Remove a segment from this process's resource tracker.
-
-        Before Python 3.13 every ``SharedMemory`` open — create *and*
-        attach — registers with the resource tracker, which unlinks
-        registered names at shutdown, yanking the columns out from
-        under other processes.  Lifetime here is owned by the manifest
-        protocol (:meth:`release` / :meth:`sweep_orphans`), so both
-        publisher and attachers disown immediately.  ``unlink`` paths
-        must NOT disown first: ``SharedMemory.unlink`` does its own
-        unregister, and the pair must stay balanced.
-        """
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(
-                getattr(seg, "_name", f"/{seg.name}"), "shared_memory"
-            )
-        except Exception:
-            pass  # tracker internals moved: worst case a shutdown warning
-
-    @classmethod
-    def _open_shm(cls, name: str):
-        """Attach to an existing segment for reading, tracker-disowned."""
-        from multiprocessing import shared_memory
-
-        seg = shared_memory.SharedMemory(name=name)
-        cls._disown_shm(seg)
-        return seg
-
-    @staticmethod
-    def _unlink_shm(name: str) -> None:
-        """Destroy a segment; attach registration and unlink's
-        unregister cancel out, so no explicit disown here."""
-        from multiprocessing import shared_memory
-
-        seg = shared_memory.SharedMemory(name=name)
-        seg.unlink()
-        seg.close()
-
-    # ------------------------------------------------------------ publish
-    def publish(self, payload: bytes) -> str:
-        """Make ``payload`` attachable; returns its content key.
-
-        Idempotent: republishing bytes that are already attachable under
-        their key is a no-op returning the same key.
-        """
-        key = hashlib.sha256(payload).hexdigest()
-        if self.manifest_path(key).is_file() and self._read(key, count=False) is not None:
-            return key
-        kind, name = self._store_payload(key, payload)
-        manifest = {
-            "schema": COLUMN_SCHEMA,
-            "key": key,
-            "kind": kind,
-            "name": name,
-            "size_bytes": len(payload),
-            "owner_pid": os.getpid(),
-        }
-        self.tmp_dir.mkdir(parents=True, exist_ok=True)
-        staging = self.tmp_dir / f"columns.{key}.{os.getpid()}.tmp"
-        staging.write_text(
-            json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8"
-        )
-        os.replace(staging, self.manifest_path(key))
-        perfmon_record("colcache", {"publishes": 1.0})
-        return key
-
-    def _store_payload(self, key: str, payload: bytes) -> tuple[str, str]:
-        """Write the bytes; shared memory first, ``.bin`` file fallback."""
-        self.columns_dir.mkdir(parents=True, exist_ok=True)
-        name = self._shm_name(key)
-        try:
-            from multiprocessing import shared_memory
-
-            try:
-                seg = shared_memory.SharedMemory(
-                    create=True, size=len(payload), name=name
-                )
-            except FileExistsError:
-                # A previous publish from this PID died between segment
-                # and manifest; the name is content-derived, so recreate.
-                self._unlink_shm(name)
-                seg = shared_memory.SharedMemory(
-                    create=True, size=len(payload), name=name
-                )
-            seg.buf[: len(payload)] = payload
-            self._disown_shm(seg)
-            seg.close()
-            return "shm", name
-        except (ImportError, OSError):
-            staging = self.tmp_dir / f"columns.{key}.{os.getpid()}.bin.tmp"
-            self.tmp_dir.mkdir(parents=True, exist_ok=True)
-            staging.write_bytes(payload)
-            os.replace(staging, self._bin_path(key))
-            return "file", self._bin_path(key).name
-
-    # ------------------------------------------------------------ attach
-    def attach(self, key: str) -> bytes | None:
-        """The published payload for ``key``, or None (missing/corrupt)."""
-        return self._read(key, count=True)
-
-    def _read(self, key: str, count: bool) -> bytes | None:
-        segment = self._segment_from_manifest(self.manifest_path(key))
-        if segment is None or segment.key != key:
-            return None
-        if segment.kind == "shm":
-            try:
-                seg = self._open_shm(segment.name)
-            except (ImportError, OSError):
-                return None
-            try:
-                payload = bytes(seg.buf[: segment.size_bytes])
-            finally:
-                seg.close()
-        else:
-            try:
-                payload = self._bin_path(key).read_bytes()
-            except OSError:
-                return None
-        if hashlib.sha256(payload).hexdigest() != key:
-            return None  # torn write or recycled segment: a miss
-        if count:
-            perfmon_record("colcache", {"attaches": 1.0})
-        return payload
-
-    # ------------------------------------------------------------ lifetime
-    def release(self, key: str) -> bool:
-        """Drop the segment and its manifest; True if anything was removed."""
-        manifest = self.manifest_path(key)
-        segment = self._segment_from_manifest(manifest)
-        removed = False
-        if segment is not None and segment.kind == "shm":
-            try:
-                self._unlink_shm(segment.name)
-                removed = True
-            except (ImportError, OSError):
-                pass  # segment already gone
-        bin_path = self._bin_path(key)
-        if bin_path.is_file():
-            bin_path.unlink(missing_ok=True)
-            removed = True
-        try:
-            manifest.unlink()
-            removed = True
-        except OSError:
-            pass
-        return removed
-
-    # ------------------------------------------------------------ survey
-    def _segment_from_manifest(self, path: Path) -> ColumnSegment | None:
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict) or payload.get("schema") != COLUMN_SCHEMA:
-            return None
-        try:
-            return ColumnSegment(
-                key=str(payload["key"]),
-                kind=str(payload["kind"]),
-                name=str(payload["name"]),
-                size_bytes=int(payload["size_bytes"]),
-                owner_pid=int(payload["owner_pid"]),
-                manifest=path,
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def segments(self) -> list[ColumnSegment]:
-        """Every published segment with a readable manifest, sorted by key."""
-        if not self.columns_dir.is_dir():
-            return []
-        found = []
-        for path in sorted(self.columns_dir.glob("*.json")):
-            segment = self._segment_from_manifest(path)
-            if segment is not None:
-                found.append(segment)
-        return found
-
-    def orphans(self) -> list[ColumnSegment]:
-        """Segments whose publishing process is no longer alive."""
-        return [s for s in self.segments() if not _pid_alive(s.owner_pid)]
-
-    def sweep_orphans(self, dry_run: bool = False) -> list[ColumnSegment]:
-        """Reclaim segments abandoned by dead publishers (SIGKILLed
-        workers, crashed engines); returns what was (or would be) swept."""
-        swept = self.orphans()
-        if not dry_run:
-            for segment in swept:
-                self.release(segment.key)
-            if swept:
-                perfmon_record("colcache", {"orphans_swept": float(len(swept))})
-        return swept
-
-    def clear(self) -> int:
-        """Release every segment, live publishers included; returns count."""
-        segments = self.segments()
-        for segment in segments:
-            self.release(segment.key)
-        return len(segments)

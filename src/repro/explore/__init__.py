@@ -25,8 +25,8 @@ didn't build?* — without giving up the repo's exact-parity discipline:
 
 Every number a sweep produces is bit-identical to building that
 machine as a :class:`~repro.machine.processor.Processor` and executing
-the trace on the compiled engine — the grid is a faster spelling of
-the same model, never a different model.
+the trace op by op — the grid is a faster spelling of the same model,
+never a different model.
 """
 
 from repro.explore.engine import (

@@ -2,7 +2,7 @@
 
 :func:`cost_suite_grid` prices every requested trace against every
 machine of a :class:`~repro.machine.grid.MachineGrid` — the traces are
-stacked into one :class:`~repro.machine.suitebatch.SuiteColumns` ragged
+stacked into one :class:`~repro.machine.compiled.SuiteColumns` ragged
 tensor and the whole suite × grid cross product costs in a single
 broadcasted pass per chunk — and reduces the per-trace costs into suite
 aggregates
@@ -36,9 +36,8 @@ import numpy as np
 from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace
 from repro.engine.deps import closure_digest
 from repro.engine.store import ChunkStore
-from repro.machine.compiled import fsum_columns
+from repro.machine.compiled import SuiteColumns, fsum_columns
 from repro.machine.grid import GridTraceCost, MachineGrid, cost_suite_trace_grid
-from repro.machine.suitebatch import SuiteColumns
 from repro.perfmon.collector import active as perfmon_active
 from repro.perfmon.collector import record as perfmon_record
 from repro.perfmon.collector import span as perfmon_span
@@ -58,12 +57,12 @@ __all__ = [
 CHUNK_NAMESPACE = "explore"
 
 #: Seed modules whose transitive source closure keys chunk caching —
-#: the code that determines a chunk's numbers.  The trace registry's
-#: closure covers every kernel's trace builder.
+#: the code that determines a chunk's numbers: the grid kernels, the
+#: column lowering and suite stack (:mod:`repro.machine.compiled`), and
+#: the trace registry, whose closure covers every kernel's trace builder.
 CHUNK_KEY_SEEDS = (
     "repro.machine.grid",
     "repro.machine.compiled",
-    "repro.machine.suitebatch",
     "repro.analysis.traces",
 )
 
@@ -164,29 +163,18 @@ def _costs_from_payload(
         return None
     if payload.get("n_machines") != subgrid.n_machines:
         return None
-    from repro.units import NS
-
     costs: dict[str, GridTraceCost] = {}
     for trace_id in trace_ids:
         entry = payload.get("traces", {}).get(trace_id)
         if entry is None or len(entry.get("cycles", ())) != subgrid.n_machines:
             return None
-        cycles = np.array(entry["cycles"], dtype=np.float64)
-        seconds = cycles * (subgrid.period_ns * NS)
-        zero = seconds == 0.0
-        safe = np.where(zero, 1.0, seconds)
-        flop_equivalents = float(entry["flop_equivalents"])
-        words_moved = float(entry["words_moved"])
-        costs[trace_id] = GridTraceCost(
-            trace_name=traces[trace_id].name,
-            machine_names=subgrid.names,
-            cycles=cycles,
-            seconds=seconds,
-            mflops=np.where(zero, 0.0, flop_equivalents / safe / MEGA),
-            bandwidth_bytes_per_s=np.where(zero, 0.0, (words_moved * 8.0) / safe),
-            raw_flops=float(entry["raw_flops"]),
-            flop_equivalents=flop_equivalents,
-            words_moved=words_moved,
+        costs[trace_id] = GridTraceCost.from_cycles(
+            traces[trace_id].name,
+            subgrid,
+            np.array(entry["cycles"], dtype=np.float64),
+            float(entry["raw_flops"]),
+            float(entry["flop_equivalents"]),
+            float(entry["words_moved"]),
         )
     return costs
 

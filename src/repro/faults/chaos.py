@@ -13,8 +13,9 @@ One :func:`run_chaos` call is the whole resilience story end to end:
    corrupted: every damaged entry must be quarantined (not silently
    overwritten) and recomputed, archives again byte-identical.
 4. **Degraded parity** — presets × degradations × kernel traces, the
-   ``legacy`` and ``compiled`` costing engines must agree bit-exactly
-   on every degraded machine.
+   per-op ``Processor.execute`` and a one-machine grid
+   (``cost_trace_grid``) must agree bit-exactly on every degraded
+   machine.
 5. **Recovery** — CCM2/MOM/POP killed at a seeded step and restored
    from checkpoint finish bit-identical to uninterrupted integrations;
    conservation diagnostics stay healthy.
@@ -224,9 +225,10 @@ def _engine_stages(chaos: ChaosReport, workdir: Path) -> None:
 
 
 def _degraded_stage(chaos: ChaosReport) -> None:
-    """Stage 4: legacy/compiled bit-parity on every degraded machine."""
+    """Stage 4: per-op/grid bit-parity on every degraded machine."""
     from repro.analysis.traces import build_registered_trace
     from repro.faults.degraded import PRESETS, DegradedMachine, standard_degradations
+    from repro.machine.grid import MachineGrid, cost_trace_grid
 
     presets = ("sx4",) if chaos.quick else tuple(sorted(PRESETS))
     trace_ids = _QUICK_TRACES if chaos.quick else DEGRADED_TRACES
@@ -236,12 +238,13 @@ def _degraded_stage(chaos: ChaosReport) -> None:
     for preset in presets:
         for degradation in standard_degradations(preset):
             processor = DegradedMachine(preset, degradation).processor()
+            grid = MachineGrid.from_processors([processor])
             for trace_id, trace in traces.items():
-                legacy = processor.execute(trace, engine="legacy")
-                compiled = processor.execute(trace, engine="compiled")
+                report = processor.execute(trace)
+                cost = cost_trace_grid(trace, grid)
                 cases += 1
-                if (legacy.cycles != compiled.cycles
-                        or legacy.seconds != compiled.seconds):
+                if (report.cycles != cost.cycles[0]
+                        or report.seconds != cost.seconds[0]):
                     mismatches.append(f"{preset}/{degradation.name}/{trace_id}")
     chaos.check(
         "degraded_costing_parity_bit_exact", not mismatches,
@@ -363,9 +366,8 @@ def _service_stage(chaos: ChaosReport, workdir: Path) -> None:
     * an injected ``worker_heartbeat`` fault crashes the loop body and
       the supervisor restarts it (the job still completes);
     * a drain mid-job checkpoints the RUNNING record back to PENDING,
-      bounces new submissions with ``503 + Retry-After``, sweeps orphan
-      column segments, and journals a drain record (through the
-      ``service_drain`` fault site);
+      bounces new submissions with ``503 + Retry-After``, and journals a
+      drain record (through the ``service_drain`` fault site);
     * a restarted app resumes the checkpointed job and finishes it
       **byte-identical** to an app that was never interrupted.
     """
@@ -508,11 +510,6 @@ def _service_stage(chaos: ChaosReport, workdir: Path) -> None:
         identical == [job_a, job_b],
         f"{len(identical)}/2 interrupted-chain results byte-identical "
         f"to the uninterrupted app",
-    )
-    leaked = restarted.sweep_orphan_columns() + clean.sweep_orphan_columns()
-    chaos.check(
-        "service_no_orphan_segments", leaked == 0,
-        f"{leaked} orphan column-cache segments after drain + restart",
     )
 
     counters = app.profile.counters

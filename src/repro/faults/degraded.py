@@ -11,9 +11,9 @@ rebuild the component with the survivors.
 Nothing here adds new cost formulas — a degraded machine is an
 ordinary machine with smaller parameters, so fewer banks raise
 conflict factors through :class:`~repro.machine.memory.BankedMemory`'s
-existing gcd arithmetic, and both costing engines (``legacy`` and
-``compiled``) price it bit-identically because they are handed the
-same component instances (asserted in ``tests/faults``).
+existing gcd arithmetic, and both costing paths (per-op
+``Processor.execute`` and the machine grid) price it bit-identically
+(asserted in ``tests/faults`` and by the chaos harness).
 """
 
 from __future__ import annotations

@@ -1,37 +1,26 @@
-"""Columnar trace compilation: structure-of-arrays lowering of a Trace.
+"""Columnar trace lowering: the structure-of-arrays input of the grid.
 
-``Processor.execute`` walking a :class:`~repro.machine.operations.Trace`
-one descriptor at a time is re-run thousands of times per sweep (the
-vector-length/resolution scans of Figures 5-8, the Table 6 ensembles,
-the node model's memory-dilation sweep), so regenerating the paper's
-tables is bounded by interpreter overhead, not by the machine model.
-This module removes that bound: :func:`compile_trace` lowers a trace
-once into a cached :class:`CompiledTrace` — float64 columns for every
-descriptor field plus an ``n_vector_ops x 6`` intrinsic-call matrix —
-and the machine components gain ``*_cycles_batch`` methods that cost
-every op of a trace in a handful of NumPy expressions.
+:class:`~repro.machine.processor.Processor` costs one machine by walking
+a :class:`~repro.machine.operations.Trace` op by op.  The machine grid
+(:mod:`repro.machine.grid`) costs thousands of machines at once, and for
+that it needs every descriptor field as a column: :func:`compile_trace`
+lowers a trace once into a cached :class:`CompiledTrace` — float64
+columns for every descriptor field plus an ``n_vector_ops x 6``
+intrinsic-call matrix — and :class:`SuiteColumns` stacks many traces'
+columns into one ragged tensor so a whole suite costs in one
+broadcasted pass.
 
-The contract with the per-op ("legacy") path is **exact parity**:
+Lowering is exact: every derived column reproduces the corresponding
+:class:`VectorOp`/:class:`ScalarOp` property arithmetic operation for
+operation (same IEEE-754 double ops, same association), and aggregate
+totals go through :func:`math.fsum`, whose correctly-rounded result is
+independent of summation order.  Grid results are therefore equal to
+the per-op path's, not merely close — the parity the tests in
+``tests/machine`` assert on the registered suite and on hypothesis
+traces.
 
-* every column expression reproduces the corresponding scalar property
-  arithmetic operation-for-operation (same IEEE-754 double ops, same
-  association, same accumulation order over the sorted intrinsic
-  names), so per-op cycle counts are bit-identical;
-* aggregates on both paths go through :func:`math.fsum`, whose result
-  is the correctly-rounded exact sum and therefore independent of
-  summation order — so totals are bit-identical too.
-
-The repo linter's REPO007 rule keeps the pairing closed under
-extension: any new ``*_cycles_batch`` method must sit next to the
-matching per-op ``*_cycles`` method, which is what the parity suite
-(tests/machine/test_compiled*.py) exercises.
-
-Caching is two-level.  A trace caches its own ``CompiledTrace``
-(invalidated by ``append``/``extend``); a ``CompiledTrace`` caches
-machine-dependent cost columns per component set via
-:meth:`CompiledTrace.machine_cache`, which is what lets the node model
-re-cost one compiled trace across all CPU counts (only the dilation
-changes) without recomputing the stride/bank arithmetic.
+A trace caches its own ``CompiledTrace`` (invalidated by
+``append``/``extend``).
 """
 
 from __future__ import annotations
@@ -39,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
-from typing import Any
 
 import numpy as np
 
@@ -53,77 +41,20 @@ from repro.machine.operations import (
 
 __all__ = [
     "SORTED_INTRINSICS",
-    "ENGINES",
-    "DEFAULT_ENGINE",
     "VectorColumns",
     "ScalarColumns",
     "CompiledTrace",
+    "SuiteColumns",
     "compile_trace",
-    "fsum",
     "fsum_columns",
-    "get_default_engine",
-    "set_default_engine",
-    "resolve_engine",
 ]
 
 #: Intrinsic column order of the compiled intrinsic matrix.  Sorted by
 #: name because ``VectorOp.intrinsic_calls`` is stored name-sorted: the
-#: batched accumulation then visits intrinsics in exactly the order the
+#: grid's accumulation then visits intrinsics in exactly the order the
 #: per-op loop does (absent intrinsics contribute an exact 0.0), which
 #: is one of the two pillars of the bit-parity guarantee.
 SORTED_INTRINSICS: tuple[str, ...] = tuple(sorted(INTRINSICS))
-
-#: The selectable costing engines.  ``suitebatch`` costs a registered
-#: whole-suite column stack in one fused pass (see
-#: :mod:`repro.machine.suitebatch`) and falls back to ``compiled`` for
-#: traces outside the registered suite — reports are bit-identical on
-#: every path.
-ENGINES = ("compiled", "legacy", "suitebatch")
-
-#: Process-wide default engine for ``Processor.execute(engine=None)``.
-DEFAULT_ENGINE = "compiled"
-
-_default_engine = DEFAULT_ENGINE
-
-
-def get_default_engine() -> str:
-    """The engine ``Processor.execute`` uses when none is requested."""
-    return _default_engine
-
-
-def set_default_engine(engine: str) -> str:
-    """Set the process-wide default costing engine; returns the old one.
-
-    ``python -m repro.suite --costing legacy`` routes through this so a
-    whole suite run can be re-costed on the reference path.
-    """
-    global _default_engine
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    previous = _default_engine
-    _default_engine = engine
-    return previous
-
-
-def resolve_engine(engine: str | None) -> str:
-    """Validate an explicit engine choice or fall back to the default."""
-    if engine is None:
-        return _default_engine
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return engine
-
-
-def fsum(values) -> float:
-    """Exactly-rounded sum of a NumPy array or iterable of floats.
-
-    ``math.fsum`` tracks exact partial sums, so its result does not
-    depend on operand order — the property that makes the batched
-    aggregate reductions bit-identical to the per-op path's.
-    """
-    if isinstance(values, np.ndarray):
-        return math.fsum(values.tolist())
-    return math.fsum(values)
 
 
 def fsum_columns(matrix: np.ndarray) -> np.ndarray:
@@ -131,32 +62,23 @@ def fsum_columns(matrix: np.ndarray) -> np.ndarray:
 
     The machine-grid reduction: column ``j`` holds machine ``j``'s
     per-op cycle costs, and its :func:`math.fsum` is bit-identical to
-    the total the per-machine compiled path computes for that machine —
-    fsum's exact partial sums make the result order-independent, so
-    slicing a machine out of a grid changes nothing.
+    the total the per-op path computes for that machine — fsum's exact
+    partial sums make the result order-independent, so slicing a
+    machine out of a grid changes nothing.
     """
     if matrix.shape[0] == 0:
         return np.zeros(matrix.shape[1])
     return np.array([math.fsum(column) for column in matrix.T.tolist()])
 
 
-def _concat_column_fields(cls, parts):
+def _stack_fields(cls, parts):
     """Field-wise ``np.concatenate`` over same-typed column sets.
 
     Concatenation copies raw float64 bit patterns, so every row of the
-    stacked columns is bit-identical to its source row — the property
-    the suite-batch engine's exactness proof rests on.
+    stacked columns is bit-identical to its source row.
     """
     return cls(**{
         f.name: np.concatenate([getattr(p, f.name) for p in parts])
-        for f in dataclass_fields(cls)
-    })
-
-
-def _slice_column_fields(cls, columns, start, stop):
-    """Field-wise row slice ``[start:stop]`` (NumPy views, no copies)."""
-    return cls(**{
-        f.name: getattr(columns, f.name)[start:stop]
         for f in dataclass_fields(cls)
     })
 
@@ -165,14 +87,12 @@ def _slice_column_fields(cls, columns, start, stop):
 class VectorColumns:
     """The vector ops of one trace, one float64 column per field.
 
-    ``index`` maps each row back to its position in the original trace
-    (for scattering per-op cycles into trace order); ``intrinsics`` is
-    an ``n x len(INTRINSICS)`` calls-per-element matrix with columns in
-    :data:`SORTED_INTRINSICS` order.  The derived columns reproduce the
-    corresponding :class:`VectorOp` property arithmetic exactly.
+    ``intrinsics`` is an ``n x len(INTRINSICS)`` calls-per-element matrix
+    with columns in :data:`SORTED_INTRINSICS` order.  The derived columns
+    reproduce the corresponding :class:`VectorOp` property arithmetic
+    exactly.
     """
 
-    index: np.ndarray
     length: np.ndarray  # float64 copy of the int lengths
     count: np.ndarray
     flops: np.ndarray  # flops_per_element
@@ -184,21 +104,17 @@ class VectorColumns:
     scatter: np.ndarray  # scatter_stores_per_element
     intrinsics: np.ndarray  # (n, len(INTRINSICS)) calls per element
 
-    # derived, precomputed at compile time (machine-independent)
-    elements: np.ndarray = field(repr=False, default=None)
+    # derived, precomputed at lowering time (machine-independent)
     raw_flops: np.ndarray = field(repr=False, default=None)
     flop_equivalents: np.ndarray = field(repr=False, default=None)
-    sequential_words: np.ndarray = field(repr=False, default=None)
-    indexed_words: np.ndarray = field(repr=False, default=None)
     words_moved: np.ndarray = field(repr=False, default=None)
-    intrinsic_calls_total: np.ndarray = field(repr=False, default=None)
 
     @property
     def n(self) -> int:
-        return int(self.index.shape[0])
+        return int(self.length.shape[0])
 
     @classmethod
-    def from_ops(cls, positions: list[int], ops: list[VectorOp]) -> "VectorColumns":
+    def from_ops(cls, ops: list[VectorOp]) -> "VectorColumns":
         n = len(ops)
         length = np.array([op.length for op in ops], dtype=np.float64)
         count = np.array([op.count for op in ops], dtype=np.float64)
@@ -223,12 +139,7 @@ class VectorColumns:
             equiv = equiv + (INTRINSIC_FLOP_EQUIV[name] * intrinsics[:, i]) * elements
         sequential = (loads + stores) * length
         indexed = (gather + scatter) * length
-        words = (sequential + indexed) * count
-        calls_total = np.zeros(n, dtype=np.float64)
-        for i in range(len(SORTED_INTRINSICS)):
-            calls_total = calls_total + intrinsics[:, i] * elements
         return cls(
-            index=np.array(positions, dtype=np.intp),
             length=length,
             count=count,
             flops=flops,
@@ -239,40 +150,16 @@ class VectorColumns:
             gather=gather,
             scatter=scatter,
             intrinsics=intrinsics,
-            elements=elements,
             raw_flops=raw,
             flop_equivalents=equiv,
-            sequential_words=sequential,
-            indexed_words=indexed,
-            words_moved=words,
-            intrinsic_calls_total=calls_total,
+            words_moved=(sequential + indexed) * count,
         )
-
-    @classmethod
-    def stack(cls, parts: list["VectorColumns"]) -> "VectorColumns":
-        """Concatenate several traces' vector columns into one stack.
-
-        Row values (including the precomputed derived columns) are
-        preserved bit-exactly; ``index`` keeps each row's within-trace
-        position so a segment slice scatters back into its own trace's
-        op order.  The suite-batch engine stacks all registered traces
-        this way and runs every ``*_cycles_batch`` kernel once over the
-        result.
-        """
-        if not parts:
-            return cls.from_ops([], [])
-        return _concat_column_fields(cls, parts)
-
-    def slice_rows(self, start: int, stop: int) -> "VectorColumns":
-        """One segment of a stacked column set, as zero-copy views."""
-        return _slice_column_fields(type(self), self, start, stop)
 
 
 @dataclass(frozen=True)
 class ScalarColumns:
     """The scalar ops of one trace, one float64 column per field."""
 
-    index: np.ndarray
     instructions: np.ndarray
     flops: np.ndarray
     memory_words: np.ndarray
@@ -284,17 +171,15 @@ class ScalarColumns:
 
     @property
     def n(self) -> int:
-        return int(self.index.shape[0])
+        return int(self.count.shape[0])
 
     @classmethod
-    def from_ops(cls, positions: list[int], ops: list[ScalarOp]) -> "ScalarColumns":
-        instructions = np.array([op.instructions for op in ops], dtype=np.float64)
+    def from_ops(cls, ops: list[ScalarOp]) -> "ScalarColumns":
         flops = np.array([op.flops for op in ops], dtype=np.float64)
         memory_words = np.array([op.memory_words for op in ops], dtype=np.float64)
         count = np.array([op.count for op in ops], dtype=np.float64)
         return cls(
-            index=np.array(positions, dtype=np.intp),
-            instructions=instructions,
+            instructions=np.array([op.instructions for op in ops], dtype=np.float64),
             flops=flops,
             memory_words=memory_words,
             count=count,
@@ -302,38 +187,19 @@ class ScalarColumns:
             words_moved=memory_words * count,
         )
 
-    @classmethod
-    def stack(cls, parts: list["ScalarColumns"]) -> "ScalarColumns":
-        """Concatenate several traces' scalar columns (bit-preserving)."""
-        if not parts:
-            return cls.from_ops([], [])
-        return _concat_column_fields(cls, parts)
-
-    def slice_rows(self, start: int, stop: int) -> "ScalarColumns":
-        """One segment of a stacked column set, as zero-copy views."""
-        return _slice_column_fields(type(self), self, start, stop)
-
 
 @dataclass
 class CompiledTrace:
     """A trace lowered to structure-of-arrays columns.
 
-    Machine-independent: the same compiled trace costs on any
-    processor.  Machine-*dependent* cost columns (arithmetic cycles,
-    stride factors, memory path cycles) are memoised per component set
-    in :meth:`machine_cache`, keyed by component identity, so sweeps
-    that re-execute one trace — possibly under varying
-    ``memory_dilation`` — recompute only the dilation-dependent max.
+    Machine-independent: the same compiled trace costs on any grid.
+    Vector and scalar ops are split into their own column sets; the
+    machine-independent totals are computed once per trace.
     """
 
     names: tuple[str, ...]
     vector: VectorColumns
     scalar: ScalarColumns
-    _machine_caches: dict[tuple[int, ...], dict[str, Any]] = field(
-        default_factory=dict, repr=False
-    )
-    #: strong refs pinning cached components so their ids stay unique.
-    _pins: list[tuple] = field(default_factory=list, repr=False)
     #: machine-independent aggregate totals, computed once per trace.
     _totals: dict[str, float] = field(default_factory=dict, repr=False)
 
@@ -343,49 +209,13 @@ class CompiledTrace:
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "CompiledTrace":
-        v_pos: list[int] = []
-        v_ops: list[VectorOp] = []
-        s_pos: list[int] = []
-        s_ops: list[ScalarOp] = []
-        for i, op in enumerate(trace.ops):
-            if isinstance(op, VectorOp):
-                v_pos.append(i)
-                v_ops.append(op)
-            else:
-                s_pos.append(i)
-                s_ops.append(op)
+        v_ops = [op for op in trace.ops if isinstance(op, VectorOp)]
+        s_ops = [op for op in trace.ops if not isinstance(op, VectorOp)]
         return cls(
             names=tuple(op.name for op in trace.ops),
-            vector=VectorColumns.from_ops(v_pos, v_ops),
-            scalar=ScalarColumns.from_ops(s_pos, s_ops),
+            vector=VectorColumns.from_ops(v_ops),
+            scalar=ScalarColumns.from_ops(s_ops),
         )
-
-    def machine_cache(self, *components) -> dict[str, Any]:
-        """Per-component-set memo dict for machine-dependent columns.
-
-        Keyed by ``id`` of each component; the components themselves are
-        pinned so a key can never be recycled while this compiled trace
-        is alive.  Calibrated machine instances are treated as
-        immutable — mutating a component's parameters after it has been
-        used to cost a compiled trace is unsupported (build a fresh
-        processor instead, as :mod:`repro.machine.presets` does).
-        """
-        key = tuple(id(c) for c in components)
-        cache = self._machine_caches.get(key)
-        if cache is None:
-            cache = {}
-            self._machine_caches[key] = cache
-            self._pins.append(components)
-        return cache
-
-    def scatter_cycles(
-        self, vector_cycles: np.ndarray, scalar_cycles: np.ndarray
-    ) -> np.ndarray:
-        """Per-op cycles in original trace order."""
-        out = np.zeros(self.n_ops, dtype=np.float64)
-        out[self.vector.index] = vector_cycles
-        out[self.scalar.index] = scalar_cycles
-        return out
 
     # -- aggregate accounting (exact: fsum of per-op columns) -------------
     def _total(self, key: str, vector_column: np.ndarray, scalar_column: np.ndarray) -> float:
@@ -423,3 +253,56 @@ def compile_trace(trace: Trace) -> CompiledTrace:
         compiled = CompiledTrace.from_trace(trace)
         cache["compiled"] = compiled
     return compiled
+
+
+def _offsets(counts: list[int]) -> np.ndarray:
+    out = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+@dataclass(frozen=True)
+class SuiteColumns:
+    """A trace suite lowered to one ragged column stack.
+
+    ``vector``/``scalar`` hold the *concatenation* of every member
+    trace's rows (each row bit-identical to its source), so the grid
+    kernels accept a ``SuiteColumns`` anywhere they accept a
+    ``CompiledTrace``.  Trace ``i``'s rows are
+    ``vector_offsets[i]:vector_offsets[i + 1]`` (likewise scalar).
+    ``raw_flops``/``flop_equivalents``/``words_moved`` are the member
+    traces' machine-independent totals, in suite order.
+    """
+
+    trace_ids: tuple[str, ...]
+    trace_names: tuple[str, ...]
+    vector: VectorColumns
+    scalar: ScalarColumns
+    vector_offsets: np.ndarray  # (n_traces + 1,) intp segment bounds
+    scalar_offsets: np.ndarray
+    raw_flops: tuple[float, ...]
+    flop_equivalents: tuple[float, ...]
+    words_moved: tuple[float, ...]
+
+    @property
+    def n_traces(self) -> int:
+        return len(self.trace_ids)
+
+    @classmethod
+    def from_traces(cls, traces) -> "SuiteColumns":
+        """Stack ``(trace_id, Trace)`` pairs into one suite column set."""
+        pairs = list(traces)
+        compiled = [compile_trace(trace) for _, trace in pairs]
+        vector = [c.vector for c in compiled]
+        scalar = [c.scalar for c in compiled]
+        return cls(
+            trace_ids=tuple(trace_id for trace_id, _ in pairs),
+            trace_names=tuple(trace.name for _, trace in pairs),
+            vector=_stack_fields(VectorColumns, vector or [VectorColumns.from_ops([])]),
+            scalar=_stack_fields(ScalarColumns, scalar or [ScalarColumns.from_ops([])]),
+            vector_offsets=_offsets([v.n for v in vector]),
+            scalar_offsets=_offsets([s.n for s in scalar]),
+            raw_flops=tuple(c.raw_flops_total() for c in compiled),
+            flop_equivalents=tuple(c.flop_equivalents_total() for c in compiled),
+            words_moved=tuple(c.words_moved_total() for c in compiled),
+        )

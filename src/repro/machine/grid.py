@@ -1,38 +1,40 @@
 """Machine-axis lowering: cost a trace against thousands of machines at once.
 
-:mod:`repro.machine.compiled` vectorizes costing across the *ops* of a
-trace; this module vectorizes across the *machines*.  A
-:class:`MachineGrid` lowers every cost-relevant processor parameter
-(clock period, vector pipes, bank count, startup overheads, cache
-geometry, ...) into structure-of-arrays columns — one float64/int64
-entry per machine — so one broadcasted NumPy pass of shape
-``(n_ops, n_machines)`` prices a whole trace against a whole design
-space.
+:class:`~repro.machine.processor.Processor` costs one machine, one op at
+a time; this module costs many machines at once.  A :class:`MachineGrid`
+lowers every cost-relevant processor parameter (clock period, vector
+pipes, bank count, startup overheads, cache geometry, ...) into
+structure-of-arrays columns — one float64/int64 entry per machine — and
+:mod:`repro.machine.compiled` lowers the trace's ops into columns, so
+one broadcasted NumPy pass of shape ``(n_ops, n_machines)`` prices a
+whole trace against a whole design space.
 
-The correctness story is the same exact-parity contract the compiled
-engine holds against the legacy per-op path, one level up:
+The correctness story is exact parity with the per-op path:
 
-* every grid kernel evaluates the *exact expression* of its per-machine
-  ``*_cycles_batch`` sibling, with op columns broadcast as ``(n, 1)``
-  against machine columns as ``(m,)`` — IEEE-754 arithmetic is
-  elementwise, so machine ``j``'s column of the broadcasted result is
-  bit-identical to running that machine's batch kernel alone;
+* every grid kernel evaluates the *exact expression* of its per-op
+  sibling method on :class:`~repro.machine.vector_unit.VectorUnit`,
+  :class:`~repro.machine.memory.BankedMemory`,
+  :class:`~repro.machine.scalar_unit.ScalarUnit` or
+  :class:`~repro.machine.cache.CacheModel`, with op columns broadcast as
+  ``(n, 1)`` against machine columns as ``(m,)`` — IEEE-754 arithmetic
+  is elementwise, so machine ``j``'s column of the broadcasted result is
+  bit-identical to that machine's per-op cycles, and the per-op
+  methods' conditional terms become unconditional adds of an exact 0.0;
 * cache machines get benign placeholder vector/memory columns (masked
   out by ``has_vector`` through :func:`numpy.where`, which *selects*
   values and never mixes lanes), and vector machines' scalar columns
   are real, so one pass covers a heterogeneous grid;
 * per-machine totals reduce with :func:`~repro.machine.compiled.fsum_columns`
-  (exactly-rounded column sums), matching the per-machine ``fsum``.
+  (exactly-rounded column sums), matching the per-op path's ``fsum``.
 
-``tests/machine/test_grid*.py`` pins the contract down: every
-:class:`GridTraceCost` field equals the per-machine compiled (and hence
-legacy) report bit-for-bit on all registered traces across the six
-canonical presets, and on hypothesis-random machines and traces.
+``tests/machine`` pins the contract down: every :class:`GridTraceCost`
+field equals the per-machine :meth:`Processor.execute` report
+bit-for-bit on all registered traces across the six canonical presets,
+and on hypothesis-random machines and traces.
 
 REPO009 (:mod:`repro.analysis.repolint`) keeps the pairing closed under
 extension: every public ``*_cycles_grid`` method must sit next to the
-per-machine ``*_cycles_batch`` sibling the parity suite verifies it
-against.
+per-op ``*_cycles`` sibling the parity tests verify it against.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from repro.perfmon.counters import declare_counters
 from repro.units import MEGA, NS
 
 if TYPE_CHECKING:
-    from repro.machine.compiled import CompiledTrace, VectorColumns
+    from repro.machine.compiled import CompiledTrace, SuiteColumns, VectorColumns
     from repro.machine.operations import Trace
 
 __all__ = ["MachineGrid", "GridTraceCost", "cost_trace_grid", "cost_suite_trace_grid"]
@@ -64,10 +66,8 @@ __all__ = ["MachineGrid", "GridTraceCost", "cost_trace_grid", "cost_suite_trace_
 declare_counters(
     "grid",
     (
-        "machines",  # machines in grids handed to cost_trace_grid
+        "machines",  # machines in grids handed to the costing functions
         "machine_traces",  # (machine, trace) pairs costed
-        "costings",  # cost_trace_grid calls that computed columns
-        "memo_hits",  # cost_trace_grid calls served from the trace memo
     ),
 )
 
@@ -132,8 +132,7 @@ class MachineGrid:
     cache_hit_cycles_per_word: np.ndarray
     cache_miss_latency_cycles: np.ndarray
     cache_mem_words_per_cycle: np.ndarray
-    #: materialized processors, memoised per row so their component ids
-    #: stay stable across calls (the compiled-trace memo keys on them).
+    #: materialized processors, memoised per row.
     _materialized: dict[int, Processor] = field(default_factory=dict, repr=False)
 
     @property
@@ -304,8 +303,7 @@ class MachineGrid:
     def materialize(self, index: int) -> Processor:
         """The concrete :class:`Processor` of one grid row.
 
-        Memoised per row: repeated calls return the same instance, so
-        compiled-trace memo entries keyed on its components stay warm.
+        Memoised per row: repeated calls return the same instance.
         """
         i = int(index)
         cached = self._materialized.get(i)
@@ -360,11 +358,11 @@ class MachineGrid:
         self._materialized[i] = processor
         return processor
 
-    # -- grid kernels (exact mirrors of the *_cycles_batch siblings) --------
+    # -- grid kernels (exact mirrors of the per-op component methods) -------
     # Op columns broadcast as (n, 1) against machine columns as (m,);
     # every elementwise expression below keeps the association of its
-    # per-machine sibling, so column j of any result is bit-identical to
-    # running machine j's batch kernel alone.
+    # per-op sibling, so column j of any result is bit-identical to
+    # machine j's per-op cycles.
     def _path_words(self) -> np.ndarray:
         return self.port_words_per_cycle / 2.0
 
@@ -372,8 +370,7 @@ class MachineGrid:
         """(n, m) stride dilation — BankedMemory.stride_factor, vectorized.
 
         ``np.gcd`` agrees with ``math.gcd`` on int64, so the distinct-
-        bank count (and everything downstream) matches the scalar code
-        mapped over the unique strides.
+        bank count (and everything downstream) matches the per-op code.
         """
         unique, inverse = np.unique(strides, return_inverse=True)
         distinct = self.banks[None, :] // np.gcd(unique[:, None], self.banks[None, :])
@@ -390,6 +387,7 @@ class MachineGrid:
         return self.gather_base_penalty * (1.0 + occupancy)
 
     def _load_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
+        """(n, m) load-path cycles — BankedMemory.load_cycles."""
         width = self._path_words()[None, :]
         length = v.length[:, None]
         cycles = v.loads[:, None] * length * self._stride_factor_grid(v.load_stride) / width
@@ -399,6 +397,7 @@ class MachineGrid:
         return cycles
 
     def _store_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
+        """(n, m) store-path cycles — BankedMemory.store_cycles."""
         width = self._path_words()[None, :]
         length = v.length[:, None]
         cycles = v.stores[:, None] * length * self._stride_factor_grid(v.store_stride) / width
@@ -409,7 +408,7 @@ class MachineGrid:
         return np.maximum(self._load_cycles_grid(v), self._store_cycles_grid(v))
 
     def _arithmetic_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
-        """(n, m) pipeline-busy cycles — VectorUnit.arithmetic_cycles_batch."""
+        """(n, m) pipeline-busy cycles — VectorUnit.arithmetic_cycles."""
         sets_used = np.minimum(self.concurrent_sets[None, :], np.maximum(1.0, v.flops)[:, None])
         cycles = v.length[:, None] * v.flops[:, None] / (self.pipes[None, :] * sets_used)
         for column in range(len(SORTED_INTRINSICS)):
@@ -418,14 +417,14 @@ class MachineGrid:
         return cycles
 
     def _overhead_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
-        """(n, m) startup + strip-mining — VectorUnit.overhead_cycles_batch."""
+        """(n, m) startup + strip-mining — VectorUnit.overhead_cycles."""
         strips = np.maximum(1.0, np.ceil(v.length[:, None] / self.register_length[None, :]))
         return self.startup_cycles[None, :] + (strips - 1.0) * self.stripmine_cycles[None, :]
 
     def _cache_cycles_per_word_grid(
         self, stride: np.ndarray, working_set: np.ndarray
     ) -> np.ndarray:
-        """(n, m) per-word cost — CacheModel.cycles_per_word_batch."""
+        """(n, m) per-word cost — CacheModel.cycles_per_word."""
         words_per_line = self.cache_line_bytes // 8
         streaming = np.where(
             stride[:, None] >= words_per_line[None, :],
@@ -437,7 +436,7 @@ class MachineGrid:
         return self.cache_hit_cycles_per_word[None, :] + rate * line_fill[None, :]
 
     def _scalar_vector_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
-        """(n, m) VectorOps as scalar loops — ScalarUnit.vector_op_cycles_batch."""
+        """(n, m) VectorOps as scalar loops — ScalarUnit.vector_op_cycles."""
         words_per_elem = (v.loads + v.stores)[:, None]
         indexed_per_elem = v.gather + v.scatter
         working_set = (v.loads * v.load_stride + v.stores * v.store_stride) * v.length * 8.0
@@ -456,49 +455,29 @@ class MachineGrid:
         return v.length[:, None] * per_element
 
     # -- public costing API --------------------------------------------------
-    # The reference chain the parity suite walks: ``*_cycles_grid`` is
-    # verified against ``*_cycles_batch`` (one materialized machine's
-    # compiled path, REPO009), which is itself verified against the
-    # per-op ``*_cycles`` methods (REPO007).
+    # Each ``*_cycles_grid`` method sits next to its per-op reference
+    # ``*_cycles`` (one materialized machine's per-op path, REPO009):
+    # the parity tests compare a grid column against it.
     def vector_op_cycles(self, op, index: int, memory_dilation: float = 1.0) -> float:
         """Per-op reference for one row: the materialized processor's
-        legacy path."""
+        per-op path."""
         return self.materialize(index).vector_op_cycles(op, memory_dilation)
 
-    def vector_op_cycles_batch(
-        self, compiled: "CompiledTrace", index: int, memory_dilation: float = 1.0
-    ) -> np.ndarray:
-        """Per-machine reference for one row: the materialized processor's
-        compiled path — what the parity suite compares a grid column to."""
-        return self.materialize(index).vector_op_cycles_batch(compiled, memory_dilation)
-
     def vector_op_cycles_grid(
-        self, compiled: "CompiledTrace", memory_dilation: float = 1.0
+        self, columns: "CompiledTrace | SuiteColumns", memory_dilation: float = 1.0
     ) -> np.ndarray:
-        """(n_vector_ops, m) total cycles for every vector op × machine.
-
-        The dilation-independent matrices are memoised on the compiled
-        trace keyed by this grid, exactly as the per-machine path
-        memoises its cost columns per component set.
-        """
+        """(n_vector_ops, m) total cycles for every vector op × machine."""
         if memory_dilation < 1.0:
             raise ValueError(f"memory dilation cannot shrink time, got {memory_dilation}")
-        v = compiled.vector
-        cache = compiled.machine_cache(self)
+        v = columns.vector
         per_execution = None
         if bool(self.has_vector.any()):
-            arithmetic = cache.get("grid_arithmetic")
-            if arithmetic is None:
-                arithmetic = cache["grid_arithmetic"] = self._arithmetic_cycles_grid(v)
-                cache["grid_overhead"] = self._overhead_cycles_grid(v)
-                cache["grid_transfer"] = self._transfer_cycles_grid(v)
-            memory = cache["grid_transfer"] * memory_dilation
-            per_execution = cache["grid_overhead"] + np.maximum(arithmetic, memory)
+            memory = self._transfer_cycles_grid(v) * memory_dilation
+            per_execution = self._overhead_cycles_grid(v) + np.maximum(
+                self._arithmetic_cycles_grid(v), memory
+            )
         if not bool(self.has_vector.all()):
-            scalar_vector = cache.get("grid_scalar_vector")
-            if scalar_vector is None:
-                scalar_vector = cache["grid_scalar_vector"] = self._scalar_vector_cycles_grid(v)
-            dilated = scalar_vector * memory_dilation
+            dilated = self._scalar_vector_cycles_grid(v) * memory_dilation
             if per_execution is None:
                 per_execution = dilated
             else:
@@ -509,21 +488,37 @@ class MachineGrid:
         """Per-op reference for one row (see ``vector_op_cycles``)."""
         return self.materialize(index).scalar_op_cycles(op)
 
-    def scalar_op_cycles_batch(self, compiled: "CompiledTrace", index: int) -> np.ndarray:
-        """Per-machine reference for one row (see ``vector_op_cycles_batch``)."""
-        return self.materialize(index).scalar_op_cycles_batch(compiled)
-
-    def scalar_op_cycles_grid(self, compiled: "CompiledTrace") -> np.ndarray:
+    def scalar_op_cycles_grid(self, columns: "CompiledTrace | SuiteColumns") -> np.ndarray:
         """(n_scalar_ops, m) total cycles for every scalar op × machine."""
-        s = compiled.scalar
-        cache = compiled.machine_cache(self)
-        per_execution = cache.get("grid_scalar_op")
-        if per_execution is None:
-            issue = s.instructions[:, None] / self.issue_width[None, :]
-            fp = s.flops[:, None] / self.flops_per_cycle[None, :]
-            memory = s.memory_words[:, None] * self.cache_hit_cycles_per_word[None, :]
-            per_execution = cache["grid_scalar_op"] = issue + fp + memory
-        return per_execution * s.count[:, None]
+        s = columns.scalar
+        issue = s.instructions[:, None] / self.issue_width[None, :]
+        fp = s.flops[:, None] / self.flops_per_cycle[None, :]
+        memory = s.memory_words[:, None] * self.cache_hit_cycles_per_word[None, :]
+        return (issue + fp + memory) * s.count[:, None]
+
+    def _op_cycles_grid(
+        self, columns: "CompiledTrace | SuiteColumns", memory_dilation: float = 1.0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(vector, scalar) per-op cycle matrices; empty sets cost nothing."""
+        m = self.n_machines
+        vector = (
+            self.vector_op_cycles_grid(columns, memory_dilation)
+            if columns.vector.n
+            else np.zeros((0, m))
+        )
+        scalar = self.scalar_op_cycles_grid(columns) if columns.scalar.n else np.zeros((0, m))
+        return vector, scalar
+
+
+def _record_costing(grid: MachineGrid, n_traces: int) -> None:
+    if perfmon_active() is not None:
+        perfmon_record(
+            "grid",
+            {
+                "machines": float(grid.n_machines),
+                "machine_traces": float(grid.n_machines * n_traces),
+            },
+        )
 
 
 @dataclass(frozen=True)
@@ -551,6 +546,32 @@ class GridTraceCost:
     def n_machines(self) -> int:
         return len(self.machine_names)
 
+    @classmethod
+    def from_cycles(
+        cls,
+        trace_name: str,
+        grid: MachineGrid,
+        cycles: np.ndarray,
+        raw_flops: float,
+        flop_equivalents: float,
+        words_moved: float,
+    ) -> "GridTraceCost":
+        """Derive seconds and rates from per-machine cycle totals."""
+        seconds = cycles * (grid.period_ns * NS)
+        zero = seconds == 0.0
+        safe_seconds = np.where(zero, 1.0, seconds)
+        return cls(
+            trace_name=trace_name,
+            machine_names=grid.names,
+            cycles=cycles,
+            seconds=seconds,
+            mflops=np.where(zero, 0.0, flop_equivalents / safe_seconds / MEGA),
+            bandwidth_bytes_per_s=np.where(zero, 0.0, (words_moved * 8.0) / safe_seconds),
+            raw_flops=raw_flops,
+            flop_equivalents=flop_equivalents,
+            words_moved=words_moved,
+        )
+
     def report(self, index: int) -> ExecutionReport:
         """One machine's row as a standard :class:`ExecutionReport`.
 
@@ -567,7 +588,6 @@ class GridTraceCost:
             raw_flops=self.raw_flops,
             flop_equivalents=self.flop_equivalents,
             words_moved=self.words_moved,
-            engine="grid",
         )
 
 
@@ -576,133 +596,53 @@ def cost_trace_grid(
 ) -> GridTraceCost:
     """Cost one trace against every machine of a grid in one pass.
 
-    Bit-exact with executing the trace per machine on the compiled
-    engine: the per-op matrices come from the grid kernels (exact
-    mirrors of the batch kernels), per-machine totals are exactly-
-    rounded column sums, and the derived fields replicate the report
-    expressions.  The combined cycles vector is memoised on the
-    compiled trace per (grid, dilation), so dilation sweeps and repeat
-    costings are dictionary lookups.
+    Bit-exact with :meth:`Processor.execute` per machine: the per-op
+    matrices come from the grid kernels (exact mirrors of the per-op
+    methods), per-machine totals are exactly-rounded column sums, and
+    the derived fields replicate the report expressions.
     """
     compiled = compile_trace(trace)
-    cache = compiled.machine_cache(grid)
-    key = f"grid_cost@{float(memory_dilation)!r}"
-    cycles = cache.get(key)
-    computed = cycles is None
-    if computed:
-        m = grid.n_machines
-        vector_cycles = (
-            grid.vector_op_cycles_grid(compiled, memory_dilation)
-            if compiled.vector.n
-            else np.zeros((0, m))
-        )
-        scalar_cycles = (
-            grid.scalar_op_cycles_grid(compiled) if compiled.scalar.n else np.zeros((0, m))
-        )
-        cycles = cache[key] = fsum_columns(
-            np.concatenate([vector_cycles, scalar_cycles], axis=0)
-        )
-    if perfmon_active() is not None:
-        m = grid.n_machines
-        perfmon_record(
-            "grid",
-            {
-                "machines": float(m),
-                "machine_traces": float(m),
-                "costings": 1.0 if computed else 0.0,
-                "memo_hits": 0.0 if computed else 1.0,
-            },
-        )
-    seconds = cycles * (grid.period_ns * NS)
-    zero = seconds == 0.0
-    safe_seconds = np.where(zero, 1.0, seconds)
-    flop_equivalents = compiled.flop_equivalents_total()
-    words_moved = compiled.words_moved_total()
-    mflops = np.where(zero, 0.0, flop_equivalents / safe_seconds / MEGA)
-    bandwidth = np.where(zero, 0.0, (words_moved * 8.0) / safe_seconds)
-    return GridTraceCost(
-        trace_name=trace.name,
-        machine_names=grid.names,
-        cycles=cycles,
-        seconds=seconds,
-        mflops=mflops,
-        bandwidth_bytes_per_s=bandwidth,
-        raw_flops=compiled.raw_flops_total(),
-        flop_equivalents=flop_equivalents,
-        words_moved=words_moved,
+    vector_cycles, scalar_cycles = grid._op_cycles_grid(compiled, memory_dilation)
+    _record_costing(grid, 1)
+    return GridTraceCost.from_cycles(
+        trace.name,
+        grid,
+        fsum_columns(np.concatenate([vector_cycles, scalar_cycles], axis=0)),
+        compiled.raw_flops_total(),
+        compiled.flop_equivalents_total(),
+        compiled.words_moved_total(),
     )
 
 
 def cost_suite_trace_grid(
-    suite, grid: MachineGrid, memory_dilation: float = 1.0
+    suite: "SuiteColumns", grid: MachineGrid, memory_dilation: float = 1.0
 ) -> list[GridTraceCost]:
     """Cost a stacked suite against every machine in one fused pass.
 
-    ``suite`` is a :class:`~repro.machine.suitebatch.SuiteColumns`
-    stack: its ``vector``/``scalar`` columns and ``machine_cache`` make
-    it a drop-in ``CompiledTrace`` for the grid kernels, so the whole
-    suite × grid cross product costs in a single ``(n_ops, n_machines)``
-    broadcasted pass — no per-trace Python loop over kernel launches.
-    Per-(trace, machine) totals reduce each trace's *segment* of the
-    stacked matrices with :func:`fsum_columns`; the exactly-rounded
-    column sums make every returned :class:`GridTraceCost` bit-identical
-    to :func:`cost_trace_grid` on that trace alone.  The per-trace
-    cycle vectors are memoised on the stack per (grid, dilation).
+    The whole suite × grid cross product costs in a single
+    ``(n_ops, n_machines)`` broadcasted pass — no per-trace Python loop
+    over kernel launches.  Per-(trace, machine) totals reduce each
+    trace's *segment* of the stacked matrices with :func:`fsum_columns`;
+    the exactly-rounded column sums make every returned
+    :class:`GridTraceCost` bit-identical to :func:`cost_trace_grid` on
+    that trace alone.
     """
-    cache = suite.machine_cache(grid)
-    key = f"suite_grid_cost@{float(memory_dilation)!r}"
-    per_trace = cache.get(key)
-    computed = per_trace is None
-    m = grid.n_machines
-    if computed:
-        vector_cycles = (
-            grid.vector_op_cycles_grid(suite, memory_dilation)
-            if suite.vector.n
-            else np.zeros((0, m))
-        )
-        scalar_cycles = (
-            grid.scalar_op_cycles_grid(suite) if suite.scalar.n else np.zeros((0, m))
-        )
-        vo, so = suite.vector_offsets, suite.scalar_offsets
-        per_trace = cache[key] = tuple(
+    vector_cycles, scalar_cycles = grid._op_cycles_grid(suite, memory_dilation)
+    _record_costing(grid, suite.n_traces)
+    vo, so = suite.vector_offsets, suite.scalar_offsets
+    return [
+        GridTraceCost.from_cycles(
+            suite.trace_names[i],
+            grid,
             fsum_columns(
                 np.concatenate(
                     [vector_cycles[vo[i]:vo[i + 1]], scalar_cycles[so[i]:so[i + 1]]],
                     axis=0,
                 )
-            )
-            for i in range(suite.n_traces)
+            ),
+            suite.raw_flops[i],
+            suite.flop_equivalents[i],
+            suite.words_moved[i],
         )
-    if perfmon_active() is not None:
-        perfmon_record(
-            "grid",
-            {
-                "machines": float(m),
-                "machine_traces": float(m * suite.n_traces),
-                "costings": 1.0 if computed else 0.0,
-                "memo_hits": 0.0 if computed else 1.0,
-            },
-        )
-    costs: list[GridTraceCost] = []
-    for i in range(suite.n_traces):
-        cycles = per_trace[i]
-        seconds = cycles * (grid.period_ns * NS)
-        zero = seconds == 0.0
-        safe_seconds = np.where(zero, 1.0, seconds)
-        raw_flops, flop_equivalents, words_moved = suite.trace_totals(i)
-        costs.append(
-            GridTraceCost(
-                trace_name=suite.trace_names[i],
-                machine_names=grid.names,
-                cycles=cycles,
-                seconds=seconds,
-                mflops=np.where(zero, 0.0, flop_equivalents / safe_seconds / MEGA),
-                bandwidth_bytes_per_s=np.where(
-                    zero, 0.0, (words_moved * 8.0) / safe_seconds
-                ),
-                raw_flops=raw_flops,
-                flop_equivalents=flop_equivalents,
-                words_moved=words_moved,
-            )
-        )
-    return costs
+        for i in range(suite.n_traces)
+    ]

@@ -135,8 +135,8 @@ class VectorOp:
     # -- accounting -------------------------------------------------------
     # Accounting is cached (the ops are frozen, so the values can never
     # change): sweeps touch the same descriptors thousands of times, and
-    # the compiled engine's derived columns replicate these expressions
-    # term-for-term, so per-op values agree bitwise between engines.
+    # the grid's derived columns (repro.machine.compiled) replicate these
+    # expressions term-for-term, so per-op values agree bitwise.
     @cached_property
     def elements(self) -> float:
         """Total elements processed over all executions."""
@@ -304,7 +304,7 @@ class Trace:
     # -- aggregate accounting ---------------------------------------------
     # Aggregates are computed once per trace (invalidated on append) with
     # ``math.fsum``, whose exactly-rounded result is independent of
-    # summation order — so the compiled engine's column reductions return
+    # summation order — so the grid's column reductions return
     # bit-identical totals.
     @property
     def raw_flops(self) -> float:

@@ -7,19 +7,9 @@ machines, a vector unit and a banked-memory port.  ``execute`` walks a
 Cray-equivalent), and sustained memory bandwidth — the three quantities
 the paper's tables and figures report.
 
-Two costing engines produce that report:
-
-* ``"compiled"`` (the default) lowers the trace to structure-of-arrays
-  columns (:mod:`repro.machine.compiled`) and costs every op with the
-  components' ``*_cycles_batch`` methods — a handful of NumPy
-  expressions regardless of trace length;
-* ``"legacy"`` walks the trace one descriptor at a time through the
-  per-op methods — the reference the batched path is verified against.
-
-Both engines compute bit-identical per-op cycle counts (the batched
-expressions replicate the per-op arithmetic exactly) and both reduce
-totals with :func:`math.fsum`, so the resulting reports are equal, not
-merely close.
+This per-op walk is the only single-machine costing path.  Costing many
+machines at once is :mod:`repro.machine.grid`'s job; its kernels are
+verified bit for bit against the per-op methods here.
 """
 
 from __future__ import annotations
@@ -27,10 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.machine.clock import Clock
-from repro.machine.compiled import CompiledTrace, compile_trace, fsum, resolve_engine
 from repro.machine.memory import BankedMemory
 from repro.machine.operations import ScalarOp, Trace, VectorOp
 from repro.machine.scalar_unit import ScalarUnit
@@ -56,20 +43,13 @@ declare_counters(
     ),
 )
 
-_EMPTY_CYCLES = np.zeros(0, dtype=np.float64)
-
-
 @dataclass
 class ExecutionReport:
     """Outcome of running a trace on one processor.
 
-    ``op_names``/``op_cycles`` carry the per-op cycle columns in trace
-    order (``op_names`` is shared with the compiled trace, ``op_cycles``
-    is the engine's cycle vector), so :meth:`dominant_op` is an argmax
-    over a column rather than a walk over Python tuples.  The
-    ``breakdown`` list of ``(name, cycles)`` pairs is only materialised
-    when ``execute(..., breakdown=True)`` asked for it — sweeps that
-    never read it skip the per-op list allocation entirely.
+    ``op_names``/``op_cycles`` carry the per-op cycles in trace order.
+    The ``breakdown`` list of ``(name, cycles)`` pairs is only exposed
+    when ``execute(..., breakdown=True)`` asked for it.
     """
 
     machine: str
@@ -79,10 +59,9 @@ class ExecutionReport:
     raw_flops: float
     flop_equivalents: float
     words_moved: float
-    engine: str = field(default="legacy", compare=False)
     op_names: tuple[str, ...] = field(default=(), repr=False, compare=False)
-    #: per-op cycles in trace order (ndarray or tuple), parallel to op_names.
-    op_cycles: object = field(default=(), repr=False, compare=False)
+    #: per-op cycles in trace order, parallel to op_names.
+    op_cycles: tuple[float, ...] = field(default=(), repr=False, compare=False)
     has_breakdown: bool = field(default=False, repr=False, compare=False)
 
     @property
@@ -129,10 +108,7 @@ class ExecutionReport:
         n = len(self.op_names)
         if n == 0:
             return "<empty>"
-        cycles = self.op_cycles
-        if isinstance(cycles, np.ndarray):
-            return self.op_names[int(np.argmax(cycles))]
-        return self.op_names[max(range(n), key=cycles.__getitem__)]
+        return self.op_names[max(range(n), key=self.op_cycles.__getitem__)]
 
 
 @dataclass
@@ -192,46 +168,6 @@ class Processor:
         """Total cycles for all ``count`` executions of a scalar op."""
         return self.scalar.scalar_op_cycles(op) * op.count
 
-    # -- batched (columnar) timing ------------------------------------------
-    def vector_op_cycles_batch(
-        self, compiled: CompiledTrace, memory_dilation: float = 1.0
-    ) -> np.ndarray:
-        """Per-op totals of :meth:`vector_op_cycles` over the vector columns.
-
-        The dilation-independent columns (arithmetic, startup overhead,
-        undilated memory time) are memoised on the compiled trace per
-        component set, so a dilation sweep recomputes only one scale and
-        one elementwise max per point.
-        """
-        if memory_dilation < 1.0:
-            raise ValueError(f"memory dilation cannot shrink time, got {memory_dilation}")
-        v = compiled.vector
-        if self.vector is not None and self.memory is not None:
-            cache = compiled.machine_cache(self.vector, self.memory)
-            arithmetic = cache.get("arithmetic")
-            if arithmetic is None:
-                arithmetic = cache["arithmetic"] = self.vector.arithmetic_cycles_batch(v)
-                cache["overhead"] = self.vector.overhead_cycles_batch(v)
-                cache["transfer"] = self.memory.transfer_cycles_batch(v)
-            memory = cache["transfer"] * memory_dilation
-            per_execution = cache["overhead"] + np.maximum(arithmetic, memory)
-        else:
-            cache = compiled.machine_cache(self.scalar)
-            per_execution = cache.get("scalar_vector")
-            if per_execution is None:
-                per_execution = cache["scalar_vector"] = self.scalar.vector_op_cycles_batch(v)
-            per_execution = per_execution * memory_dilation
-        return per_execution * v.count
-
-    def scalar_op_cycles_batch(self, compiled: CompiledTrace) -> np.ndarray:
-        """Per-op totals of :meth:`scalar_op_cycles` over the scalar columns."""
-        s = compiled.scalar
-        cache = compiled.machine_cache(self.scalar)
-        per_execution = cache.get("scalar_op")
-        if per_execution is None:
-            per_execution = cache["scalar_op"] = self.scalar.scalar_op_cycles_batch(s)
-        return per_execution * s.count
-
     # -- perfmon instrumentation --------------------------------------------
     def _record_op(self, op: VectorOp | ScalarOp, cycles: float, dilation: float) -> None:
         """Populate the active profile's counters for one executed op.
@@ -266,177 +202,18 @@ class Processor:
             },
         )
 
-    def _record_trace_batch(
-        self,
-        compiled: CompiledTrace,
-        op_cycles: np.ndarray,
-        vector_cycles: np.ndarray,
-        scalar_cycles: np.ndarray,
-        dilation: float,
-    ) -> None:
-        """Populate the active profile's counters from column reductions.
-
-        Produces the same totals as calling :meth:`_record_op` for every
-        op (modulo exactly-rounded vs sequential accumulation), with one
-        record per component instead of one per op.
-        """
-        v, s = compiled.vector, compiled.scalar
-        if v.n:
-            if self.vector is not None and self.memory is not None:
-                perfmon_record("vector_unit", self.vector.perfmon_counters_batch(v))
-                perfmon_record("memory", self.memory.perfmon_counters_batch(v, dilation))
-            else:
-                scalar, cache = self.scalar.perfmon_vector_counters_batch(v)
-                perfmon_record("scalar_unit", scalar)
-                perfmon_record("cache", cache)
-        if s.n:
-            scalar, cache = self.scalar.perfmon_scalar_counters_batch(s)
-            perfmon_record("scalar_unit", scalar)
-            perfmon_record("cache", cache)
-        # Record only the op kinds that occurred, matching the key set the
-        # per-op path produces (profile diffs compare dict shapes too).
-        increments = {
-            "ops": float(compiled.n_ops),
-            "cycles": fsum(op_cycles),
-            "seconds": fsum(op_cycles * self.clock.period_s),
-        }
-        if v.n:
-            increments["vector_ops"] = float(v.n)
-            increments["vector_cycles"] = fsum(vector_cycles)
-        if s.n:
-            increments["scalar_ops"] = float(s.n)
-            increments["scalar_cycles"] = fsum(scalar_cycles)
-        perfmon_record("processor", increments)
-
     # -- trace execution ------------------------------------------------------
     def execute(
-        self,
-        trace: Trace,
-        memory_dilation: float = 1.0,
-        *,
-        engine: str | None = None,
-        breakdown: bool = False,
+        self, trace: Trace, memory_dilation: float = 1.0, *, breakdown: bool = False
     ) -> ExecutionReport:
         """Run a trace to completion and report time and rates.
 
-        ``engine`` selects the costing path: ``"compiled"`` (columnar,
-        the process default), ``"legacy"`` (per-op reference), or
-        ``"suitebatch"`` (serve member traces from the registered
-        whole-suite fused pass, compiled fallback otherwise); all
-        return equal reports.  ``breakdown=True`` additionally
-        materialises the per-op ``(name, cycles)`` list.
-
-        When a :mod:`repro.perfmon` profile is active, every component
-        that times an op also populates its counters — this is the
-        "counter emulation" layer of the observability subsystem.
+        ``breakdown=True`` additionally exposes the per-op
+        ``(name, cycles)`` list.  When a :mod:`repro.perfmon` profile is
+        active, every component that times an op also populates its
+        counters — this is the "counter emulation" layer of the
+        observability subsystem.
         """
-        engine = resolve_engine(engine)
-        if engine == "compiled":
-            return self._execute_compiled(trace, memory_dilation, breakdown)
-        if engine == "suitebatch":
-            return self._execute_suitebatch(trace, memory_dilation, breakdown)
-        return self._execute_legacy(trace, memory_dilation, breakdown)
-
-    def _execute_suitebatch(
-        self, trace: Trace, memory_dilation: float, breakdown: bool
-    ) -> ExecutionReport:
-        """Serve a member trace from the fused whole-suite pass.
-
-        If ``trace`` belongs to the process-registered
-        :class:`~repro.machine.suitebatch.SuiteColumns` stack, the whole
-        suite is costed in one batched kernel pass (memoised per
-        machine and dilation) and this trace's segment becomes the
-        report.  Non-member traces fall back to the compiled path —
-        reports are bit-identical either way, the fallback's ``engine``
-        field just says which path actually ran.  The registry is only
-        *read* here: the engine's pool-worker job path must not mutate
-        module globals (DET005), so workers adopt shared stacks in the
-        pool initializer instead.
-        """
-        from repro.machine import suitebatch
-
-        suite = suitebatch.registered_suite()
-        position = None if suite is None else suite.position_of(trace)
-        if position is None:
-            return self._execute_compiled(trace, memory_dilation, breakdown)
-        vector_cycles, scalar_cycles, op_cycles, total_cycles = (
-            suitebatch.trace_cycles(self, suite, position, memory_dilation)
-        )
-        view = suite.trace_view(position)
-        if perfmon_active() is not None:
-            perfmon_record("processor", {"traces": 1.0})
-            if view.n_ops:
-                self._record_trace_batch(
-                    view, op_cycles, vector_cycles, scalar_cycles, memory_dilation
-                )
-        raw_flops, flop_equivalents, words_moved = suite.trace_totals(position)
-        return ExecutionReport(
-            machine=self.name,
-            trace_name=trace.name,
-            cycles=total_cycles,
-            seconds=self.clock.seconds(total_cycles),
-            raw_flops=raw_flops,
-            flop_equivalents=flop_equivalents,
-            words_moved=words_moved,
-            engine="suitebatch",
-            op_names=view.names,
-            op_cycles=op_cycles,
-            has_breakdown=breakdown,
-        )
-
-    def _execute_compiled(
-        self, trace: Trace, memory_dilation: float, breakdown: bool
-    ) -> ExecutionReport:
-        compiled = compile_trace(trace)
-        v, s = compiled.vector, compiled.scalar
-        # The fully-combined cost columns are themselves memoised per
-        # (components, dilation), so re-costing the same trace on the
-        # same machine — the sweep and table-regeneration steady state —
-        # is a dictionary lookup plus report construction.  Invalid
-        # dilations raise before anything is cached, so validation still
-        # fires on every call.  The cached arrays are shared with the
-        # returned report; treat ``ExecutionReport.op_cycles`` as
-        # read-only.
-        cache = compiled.machine_cache(self.vector, self.memory, self.scalar)
-        key = f"cost@{float(memory_dilation)!r}"
-        entry = cache.get(key)
-        if entry is None:
-            vector_cycles = (
-                self.vector_op_cycles_batch(compiled, memory_dilation)
-                if v.n
-                else _EMPTY_CYCLES
-            )
-            scalar_cycles = (
-                self.scalar_op_cycles_batch(compiled) if s.n else _EMPTY_CYCLES
-            )
-            op_cycles = compiled.scatter_cycles(vector_cycles, scalar_cycles)
-            entry = cache[key] = (
-                vector_cycles, scalar_cycles, op_cycles, fsum(op_cycles)
-            )
-        vector_cycles, scalar_cycles, op_cycles, total_cycles = entry
-        if perfmon_active() is not None:
-            perfmon_record("processor", {"traces": 1.0})
-            if compiled.n_ops:
-                self._record_trace_batch(
-                    compiled, op_cycles, vector_cycles, scalar_cycles, memory_dilation
-                )
-        return ExecutionReport(
-            machine=self.name,
-            trace_name=trace.name,
-            cycles=total_cycles,
-            seconds=self.clock.seconds(total_cycles),
-            raw_flops=compiled.raw_flops_total(),
-            flop_equivalents=compiled.flop_equivalents_total(),
-            words_moved=compiled.words_moved_total(),
-            engine="compiled",
-            op_names=compiled.names,
-            op_cycles=op_cycles,
-            has_breakdown=breakdown,
-        )
-
-    def _execute_legacy(
-        self, trace: Trace, memory_dilation: float, breakdown: bool
-    ) -> ExecutionReport:
         op_names: list[str] = []
         op_cycles: list[float] = []
         profiling = perfmon_active() is not None
@@ -460,14 +237,11 @@ class Processor:
             raw_flops=trace.raw_flops,
             flop_equivalents=trace.flop_equivalents,
             words_moved=trace.words_moved,
-            engine="legacy",
             op_names=tuple(op_names),
             op_cycles=tuple(op_cycles),
             has_breakdown=breakdown,
         )
 
-    def time(
-        self, trace: Trace, memory_dilation: float = 1.0, *, engine: str | None = None
-    ) -> float:
+    def time(self, trace: Trace, memory_dilation: float = 1.0) -> float:
         """Shorthand: wall-clock seconds for a trace."""
-        return self.execute(trace, memory_dilation, engine=engine).seconds
+        return self.execute(trace, memory_dilation).seconds

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.engine.executor import run_engine
-from repro.engine.store import DEFAULT_STORE_ROOT, ColumnCache, ResultStore
+from repro.engine.store import DEFAULT_STORE_ROOT, ResultStore
 from repro.explore.engine import cost_suite_grid
 from repro.faults.inject import FaultInjector, fault_point
 from repro.faults.plan import FaultPlan
@@ -844,18 +844,7 @@ class ServiceApp:
             self._record("drain", checkpointed=float(len(checkpointed)))
         return checkpointed
 
-    def sweep_orphan_columns(self) -> int:
-        """Sweep dead-owner shared-memory column segments, all tenants."""
-        swept = 0
-        for name in self.tenants.names():
-            root = tenant_store_root(self.root, name)
-            if root.exists():
-                swept += len(ColumnCache(root).sweep_orphans())
-        if swept:
-            self._record("drain", orphan_segments=float(swept))
-        return swept
-
-    def journal_drain(self, checkpointed: list[str], swept_segments: int) -> dict | None:
+    def journal_drain(self, checkpointed: list[str]) -> dict | None:
         """Write the drain record; the restarted process reads it back.
 
         Journaled through the same ChunkStore discipline as job records
@@ -879,7 +868,6 @@ class ServiceApp:
             "drained_at": self.clock(),
             "job_states": states,
             "checkpointed": sorted(checkpointed),
-            "orphan_segments_swept": swept_segments,
         }
         self.spool.chunks.put(DRAIN_NAMESPACE, drain_key(), payload)
         self._record("drain", completed=1.0)
@@ -900,8 +888,7 @@ class ServiceApp:
 
         Waits for the in-flight job to finish; past the timeout it is
         checkpointed back to PENDING instead.  Either way the spool ends
-        consistent, orphan column segments are swept, and a drain record
-        is journaled — the graceful-exit contract the server's signal
+        consistent and a drain record is journaled — the graceful-exit contract the server's signal
         handler (and the lifecycle tests) rely on.
         """
         self.begin_drain(reason)
@@ -909,12 +896,10 @@ class ServiceApp:
         while self.running_job is not None and time.monotonic() < deadline:
             sleep(poll_s)
         checkpointed = self.checkpoint_running()
-        swept = self.sweep_orphan_columns()
-        journal = self.journal_drain(checkpointed, swept)
+        journal = self.journal_drain(checkpointed)
         return {
             "reason": reason,
             "checkpointed": checkpointed,
-            "orphan_segments_swept": swept,
             "journaled": journal is not None,
         }
 

@@ -71,7 +71,6 @@ LIFECYCLE_COUNTERS: dict[str, tuple[str, ...]] = {
         "checkpointed",  # RUNNING jobs demoted to PENDING at drain timeout
         "completed",  # drain records journaled (clean exits)
         "resumed",  # startups that found a prior drain record
-        "orphan_segments",  # shared-memory column segments swept on drain
     ),
     "breaker": (
         "opened",  # closed/half-open -> open transitions

@@ -21,10 +21,10 @@ lifecycle the app cannot own itself:
 * **graceful drain** — SIGTERM/SIGINT flip the app into ``draining``
   (new submissions bounce with ``503 + Retry-After``), the in-flight
   job gets ``drain_timeout_s`` to finish (checkpointed back to PENDING
-  past that), orphan column segments are swept, a drain record is
-  journaled, and the process exits 0.  Restarting resumes the spool
-  bit-identically — the CI service-chaos job SIGTERMs a 50-job burst
-  and byte-compares every result against an uninterrupted run.
+  past that), a drain record is journaled, and the process exits 0.
+  Restarting resumes the spool bit-identically — the CI service-chaos
+  job SIGTERMs a 50-job burst and byte-compares every result against an
+  uninterrupted run.
 
 ``paused=True`` starts the acceptor without the worker or watchdog:
 submitted jobs journal to the spool and stay ``pending``.  The CI
@@ -281,9 +281,7 @@ async def serve(
             print(
                 f"repro.service: drained ({outcome['reason']}) — "
                 f"{checkpointed} job{'' if checkpointed == 1 else 's'} "
-                f"checkpointed, {outcome['orphan_segments_swept']} orphan "
-                f"segment{'' if outcome['orphan_segments_swept'] == 1 else 's'} "
-                f"swept, record "
+                f"checkpointed, record "
                 f"{'journaled' if outcome['journaled'] else 'lost'}",
                 flush=True,
             )

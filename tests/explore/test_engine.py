@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from repro.engine import deps
 from repro.engine.store import ChunkStore
 from repro.explore.engine import (
+    CHUNK_KEY_SEEDS,
     CHUNK_NAMESPACE,
     cost_suite_grid,
     grid_chunk_key,
@@ -148,6 +150,24 @@ class TestChunkKeys:
     def test_key_depends_on_source_code(self, grid):
         key = grid_chunk_key(grid, TRACE_SUBSET, 1.0, code_digest="0" * 64)
         assert key != grid_chunk_key(grid, TRACE_SUBSET, 1.0, code_digest="1" * 64)
+
+    @pytest.mark.parametrize(
+        "module", ["repro.machine.compiled", "repro.machine.grid", "repro.machine.memory"]
+    )
+    def test_source_edit_to_costing_module_changes_key(self, grid, module, tmp_path,
+                                                       monkeypatch):
+        # The suite stack, the grid kernels and the components they
+        # mirror all decide a chunk's numbers, so editing any one of
+        # them must re-key every chunk.
+        closure = deps.dependency_closure(CHUNK_KEY_SEEDS)
+        assert module in closure
+        before = grid_chunk_key(grid, TRACE_SUBSET, 1.0)
+        edited = tmp_path / "edited.py"
+        edited.write_bytes(closure[module].read_bytes() + b"\n# edited\n")
+        monkeypatch.setattr(
+            deps, "dependency_closure", lambda seeds: {**closure, module: edited}
+        )
+        assert grid_chunk_key(grid, TRACE_SUBSET, 1.0) != before
 
     def test_payloads_are_json_round_trippable(self, grid, tmp_path):
         store = ChunkStore(root=tmp_path)

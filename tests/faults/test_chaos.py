@@ -41,7 +41,6 @@ class TestRunChaos:
             "service_drain_rejects_with_retry_after",
             "service_restart_resumes_checkpointed_job",
             "service_archives_byte_identical",
-            "service_no_orphan_segments",
         } <= check_names
         second = run_chaos(seed=1996, quick=True, exp_ids=TINY_IDS,
                            workdir=tmp_path / "b")

@@ -1,4 +1,4 @@
-"""Tests for degraded machines and their costing-engine parity."""
+"""Tests for degraded machines and their per-op/grid costing parity."""
 
 import pytest
 
@@ -14,6 +14,7 @@ from repro.faults.degraded import (
     degrade_processor,
     standard_degradations,
 )
+from repro.machine.grid import MachineGrid, cost_trace_grid
 from repro.machine.iop import IOProcessor
 from repro.machine.ixs import InternodeCrossbar
 from repro.machine.presets import sx4_processor
@@ -123,7 +124,7 @@ class TestDegradedMachine:
         trace = build_registered_trace("stream")
         for degradation in standard_degradations("sx4"):
             cpu = DegradedMachine("sx4", degradation).processor()
-            legacy = cpu.execute(trace, engine="legacy")
-            compiled = cpu.execute(trace, engine="compiled")
-            assert legacy.cycles == compiled.cycles, degradation.name
-            assert legacy.seconds == compiled.seconds, degradation.name
+            report = cpu.execute(trace)
+            cost = cost_trace_grid(trace, MachineGrid.from_processors([cpu]))
+            assert report.cycles == cost.cycles[0], degradation.name
+            assert report.seconds == cost.seconds[0], degradation.name

@@ -1,26 +1,33 @@
-"""Compiled (columnar) costing engine: exact parity and cache behavior."""
+"""Column lowering (repro.machine.compiled) and per-op/grid parity on it."""
+
+import math
 
 import numpy as np
 import pytest
 
-from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace
+from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace, build_suite_columns
 from repro.machine.compiled import (
-    ENGINES,
     SORTED_INTRINSICS,
     CompiledTrace,
+    SuiteColumns,
     compile_trace,
-    fsum,
-    get_default_engine,
-    resolve_engine,
-    set_default_engine,
+    fsum_columns,
 )
+from repro.machine.grid import MachineGrid, cost_trace_grid
 from repro.machine.operations import INTRINSICS, ScalarOp, Trace, VectorOp
 from repro.machine.presets import canonical_machines, sx4_processor
-from repro.perfmon.collector import profile
 
 ALL_MACHINES = list(canonical_machines().values())
 
-REPORT_FIELDS = ("cycles", "seconds", "raw_flops", "flop_equivalents", "words_moved")
+REPORT_FIELDS = (
+    "cycles",
+    "seconds",
+    "mflops",
+    "bandwidth_bytes_per_s",
+    "raw_flops",
+    "flop_equivalents",
+    "words_moved",
+)
 
 
 def mixed_trace():
@@ -37,77 +44,72 @@ def mixed_trace():
     )
 
 
-def assert_reports_equal(legacy, compiled):
-    for field in REPORT_FIELDS:
-        assert getattr(legacy, field) == getattr(compiled, field), field
-    assert legacy.mflops == compiled.mflops
-    assert legacy.bandwidth_bytes_per_s == compiled.bandwidth_bytes_per_s
-    assert legacy.op_names == tuple(compiled.op_names)
-    assert list(legacy.op_cycles) == list(compiled.op_cycles)
+def assert_grid_matches_per_op(trace, machines, dilation=1.0):
+    """Every machine's per-op report equals its grid column, bit for bit."""
+    cost = cost_trace_grid(trace, MachineGrid.from_processors(machines), dilation)
+    for j, processor in enumerate(machines):
+        report = processor.execute(trace, dilation)
+        for field in REPORT_FIELDS:
+            grid_value = getattr(cost, field)
+            if isinstance(grid_value, np.ndarray):
+                grid_value = grid_value[j]
+            assert getattr(report, field) == grid_value, (processor.name, field)
+
+
+def grid_op_cycles(trace, processor, dilation=1.0):
+    """Per-op cycles of a one-machine grid, in trace order."""
+    grid = MachineGrid.from_processors([processor])
+    compiled = compile_trace(trace)
+    vector = iter(grid.vector_op_cycles_grid(compiled, dilation)[:, 0].tolist()
+                  if compiled.vector.n else [])
+    scalar = iter(grid.scalar_op_cycles_grid(compiled)[:, 0].tolist()
+                  if compiled.scalar.n else [])
+    return [next(vector) if isinstance(op, VectorOp) else next(scalar) for op in trace]
 
 
 class TestExactParity:
     @pytest.mark.parametrize("trace_id", sorted(TRACE_BUILDERS))
     def test_registered_traces_all_machines(self, trace_id):
-        trace = build_registered_trace(trace_id)
-        for proc in ALL_MACHINES:
-            legacy = proc.execute(trace, engine="legacy")
-            compiled = proc.execute(trace, engine="compiled")
-            assert_reports_equal(legacy, compiled)
+        assert_grid_matches_per_op(build_registered_trace(trace_id), ALL_MACHINES)
 
     @pytest.mark.parametrize("dilation", [1.0, 1.37, 2.5])
     def test_memory_dilation_parity(self, dilation):
-        proc = sx4_processor()
-        trace = mixed_trace()
-        legacy = proc.execute(trace, dilation, engine="legacy")
-        compiled = proc.execute(trace, dilation, engine="compiled")
-        assert_reports_equal(legacy, compiled)
+        assert_grid_matches_per_op(mixed_trace(), [sx4_processor()], dilation)
 
     def test_cache_machine_parity(self):
         # A cache machine (no vector unit) routes vector ops through the
-        # scalar unit's model; the batched path must match there too.
+        # scalar unit's model; the grid must match there too.
         proc = next(m for m in ALL_MACHINES if m.vector is None)
-        legacy = proc.execute(mixed_trace(), engine="legacy")
-        compiled = proc.execute(mixed_trace(), engine="compiled")
-        assert_reports_equal(legacy, compiled)
+        assert_grid_matches_per_op(mixed_trace(), [proc])
 
     def test_dominant_op_agrees(self):
         proc = sx4_processor()
         trace = mixed_trace()
-        assert (proc.execute(trace, engine="legacy").dominant_op()
-                == proc.execute(trace, engine="compiled").dominant_op())
+        report = proc.execute(trace)
+        per_op = grid_op_cycles(trace, proc)
+        assert list(report.op_cycles) == per_op
+        assert report.dominant_op() == trace.ops[int(np.argmax(per_op))].name
 
     def test_empty_trace(self):
         proc = sx4_processor()
-        report = proc.execute(Trace([]), engine="compiled")
+        report = proc.execute(Trace([]))
         assert report.cycles == 0.0
         assert report.seconds == 0.0
         assert report.dominant_op() == "<empty>"
+        cost = cost_trace_grid(Trace([]), MachineGrid.from_processors([proc]))
+        assert cost.cycles.tolist() == [0.0]
+        assert cost.mflops.tolist() == [0.0]
 
     def test_dilation_validated_even_when_cached(self):
         proc = sx4_processor()
         trace = mixed_trace()
-        proc.execute(trace, 1.0, engine="compiled")  # populate caches
+        grid = MachineGrid.from_processors([proc])
+        proc.execute(trace, 1.0)
+        cost_trace_grid(trace, grid, 1.0)  # populate the compile cache
         with pytest.raises(ValueError):
-            proc.execute(trace, 0.5, engine="compiled")
-
-    def test_perfmon_counters_match_legacy_shape_and_totals(self):
-        proc = sx4_processor()
-        trace = build_registered_trace("radabs")
-        with profile() as legacy_prof:
-            proc.execute(trace, engine="legacy")
-        with profile() as compiled_prof:
-            proc.execute(trace, engine="compiled")
-        legacy_counters = legacy_prof.counters.to_dict()
-        compiled_counters = compiled_prof.counters.to_dict()
-        assert legacy_counters.keys() == compiled_counters.keys()
-        for component, counters in legacy_counters.items():
-            assert counters.keys() == compiled_counters[component].keys()
-            for name, value in counters.items():
-                got = compiled_counters[component][name]
-                assert got == pytest.approx(value, rel=1e-12, abs=1e-12), (
-                    f"{component}.{name}"
-                )
+            proc.execute(trace, 0.5)
+        with pytest.raises(ValueError):
+            cost_trace_grid(trace, grid, 0.5)
 
 
 class TestCompileCaching:
@@ -123,19 +125,11 @@ class TestCompileCaching:
         assert second is not first
         assert second.n_ops == first.n_ops + 1
 
-    def test_cost_columns_memoised_per_machine_and_dilation(self):
-        proc = sx4_processor()
-        trace = mixed_trace()
-        a = proc.execute(trace, 1.37, engine="compiled")
-        b = proc.execute(trace, 1.37, engine="compiled")
-        assert a.op_cycles is b.op_cycles  # steady state: shared cached column
-        c = proc.execute(trace, 1.0, engine="compiled")
-        assert c.op_cycles is not a.op_cycles
-
     def test_distinct_machines_do_not_share_costs(self):
+        # One machine-independent lowering prices differently per machine.
         trace = mixed_trace()
-        reports = [proc.execute(trace, engine="compiled") for proc in ALL_MACHINES]
-        assert len({report.cycles for report in reports}) > 1
+        cost = cost_trace_grid(trace, MachineGrid.from_processors(ALL_MACHINES))
+        assert len(set(cost.cycles.tolist())) > 1
 
     def test_pickled_trace_drops_compile_cache(self):
         import pickle
@@ -171,46 +165,39 @@ class TestColumns:
         assert compiled.flop_equivalents_total() == trace.flop_equivalents
         assert compiled.words_moved_total() == trace.words_moved
 
-    def test_scatter_restores_trace_order(self):
-        compiled = compile_trace(mixed_trace())
-        out = compiled.scatter_cycles(
-            np.array([1.0, 3.0]), np.array([2.0])
-        )
-        assert out.tolist() == [1.0, 2.0, 3.0]
 
+class TestSuiteColumns:
+    def test_stack_layout_and_totals(self):
+        ids = ("linpack", "radabs-scalar", "ia")
+        traces = [build_registered_trace(trace_id) for trace_id in ids]
+        suite = SuiteColumns.from_traces(zip(ids, traces))
+        assert suite.trace_ids == ids
+        assert suite.n_traces == 3
+        for i, trace in enumerate(traces):
+            solo = compile_trace(trace)
+            vo, so = suite.vector_offsets, suite.scalar_offsets
+            assert vo[i + 1] - vo[i] == solo.vector.n
+            assert so[i + 1] - so[i] == solo.scalar.n
+            # Stacking copies raw bit patterns: each segment is its trace.
+            assert suite.vector.length[vo[i]:vo[i + 1]].tobytes() == solo.vector.length.tobytes()
+            assert suite.raw_flops[i] == trace.raw_flops
+            assert suite.flop_equivalents[i] == trace.flop_equivalents
+            assert suite.words_moved[i] == trace.words_moved
 
-class TestEngineSelection:
-    def test_engines_tuple(self):
-        assert ENGINES == ("compiled", "legacy", "suitebatch")
+    def test_empty_suite(self):
+        suite = SuiteColumns.from_traces([])
+        assert suite.n_traces == 0
+        assert suite.vector.n == suite.scalar.n == 0
+        assert suite.vector_offsets.tolist() == [0]
 
-    def test_default_roundtrip(self):
-        original = get_default_engine()
-        try:
-            assert set_default_engine("legacy") == original
-            assert get_default_engine() == "legacy"
-            assert resolve_engine(None) == "legacy"
-            report = sx4_processor().execute(mixed_trace())
-            assert report.engine == "legacy"
-        finally:
-            set_default_engine(original)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            set_default_engine("bogus")
-        with pytest.raises(ValueError):
-            resolve_engine("bogus")
-        with pytest.raises(ValueError):
-            sx4_processor().execute(mixed_trace(), engine="bogus")
-
-    def test_report_records_engine(self):
-        proc = sx4_processor()
-        assert proc.execute(mixed_trace(), engine="compiled").engine == "compiled"
-        assert proc.execute(mixed_trace(), engine="legacy").engine == "legacy"
+    def test_build_suite_columns_rejects_unknown_ids(self):
+        with pytest.raises(ValueError, match="unknown trace ids"):
+            build_suite_columns(["linpack", "nope"])
+        assert build_suite_columns(["hint"]).trace_ids == ("hint",)
 
 
 def test_fsum_matches_math_fsum():
     values = [0.1, 0.2, 0.3, 1e16, -1e16, 0.1]
-    import math
-
-    assert fsum(np.array(values)) == math.fsum(values)
-    assert fsum(values) == math.fsum(values)
+    matrix = np.array([values, values[::-1]]).T
+    assert fsum_columns(matrix).tolist() == [math.fsum(values)] * 2
+    assert fsum_columns(np.zeros((0, 3))).tolist() == [0.0, 0.0, 0.0]

@@ -1,11 +1,11 @@
 """MachineGrid: structure, materialization, and bit-exact costing parity.
 
-The grid's contract is that it is a *faster spelling* of the per-machine
-compiled path, never a different model — so the core tests here assert
-``==`` on floats, not ``approx``: every registered trace, costed against
-a grid holding all six canonical presets, must reproduce each machine's
-compiled ``ExecutionReport`` bit-for-bit on cycles, seconds, Mflops, and
-bandwidth.
+The grid's contract is that it is a *faster spelling* of the per-op
+``Processor.execute`` path, never a different model — so the core tests
+here assert ``==`` on floats, not ``approx``: every registered trace,
+costed against a grid holding all six canonical presets, must reproduce
+each machine's ``ExecutionReport`` bit-for-bit on cycles, seconds,
+Mflops, and bandwidth.
 """
 
 import numpy as np
@@ -104,14 +104,14 @@ class TestMaterialize:
 
 
 class TestExactParity:
-    """The tentpole contract: grid == per-machine compiled, bit for bit."""
+    """The tentpole contract: grid == per-op execution, bit for bit."""
 
     @pytest.mark.parametrize("trace_id", ALL_TRACE_IDS)
     def test_all_traces_all_presets(self, grid, machines, trace_id):
         trace = build_registered_trace(trace_id)
         cost = cost_trace_grid(trace, grid)
         for j, processor in enumerate(machines.values()):
-            report = processor.execute(trace, engine="compiled")
+            report = processor.execute(trace)
             assert cost.cycles[j] == report.cycles
             assert cost.seconds[j] == report.seconds
             assert cost.mflops[j] == report.mflops
@@ -131,13 +131,13 @@ class TestExactParity:
         cost = cost_trace_grid(trace, grid)
         for j, processor in enumerate(machines.values()):
             report = cost.report(j)
-            direct = processor.execute(trace, engine="compiled")
+            direct = processor.execute(trace)
             assert report.cycles == direct.cycles
             assert report.seconds == direct.seconds
             assert report.machine == direct.machine
 
     def test_per_op_methods_match_processor(self, grid, machines):
-        # The REPO007/REPO009 reference chain: grid per-op == Processor per-op.
+        # The REPO009 reference: grid per-op == Processor per-op.
         trace = build_registered_trace("ccm2")
         for index, processor in enumerate(machines.values()):
             for op in trace.ops[:10]:

@@ -8,6 +8,7 @@ in EXPERIMENTS.md, and every benchmark target exists.
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import repro
 from repro.suite.experiments import EXPERIMENTS
@@ -54,6 +55,19 @@ class TestDocumentationSync:
         assert set(labels) == set(EXPERIMENTS), "registry/docs label map drifted"
         for exp_id, label in labels.items():
             assert label in text, f"{exp_id} ({label}) missing from EXPERIMENTS.md"
+
+    def test_stated_check_counts_match_the_suite(self):
+        from repro.suite.runner import run_suite
+
+        text = (REPO_ROOT / "EXPERIMENTS.md").read_text()
+        stated = re.search(r"All (\d+) shape checks pass \((\d+) experiments\)", text)
+        assert stated, "EXPERIMENTS.md no longer states the shape-check count"
+        report = run_suite()
+        _, total = report.check_counts
+        assert report.passed
+        assert (int(stated.group(1)), int(stated.group(2))) == (
+            total, len(report.experiments)
+        )
 
     def test_every_tabled_experiment_has_a_bench_file(self):
         bench_dir = REPO_ROOT / "benchmarks"
