@@ -835,6 +835,7 @@ def default_contract(program: Program) -> EffectContract:
         "repro.engine.deps.experiment_digest",
         "repro.engine.deps.suite_digests",
         "repro.engine.deps.machine_fingerprint",
+        "repro.explore.engine.grid_chunk_key",
         "repro.engine.store.canonical_bytes",
         "repro.engine.store.payload_checksum",
     ):

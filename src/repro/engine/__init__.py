@@ -4,9 +4,9 @@ The measurement campaign is a batch of independent experiments; this
 package is the harness that treats it that way:
 
 ``deps``
-    static dependency tracing — each experiment's digest covers its id,
-    the source of every ``repro.*`` module its builder transitively
-    imports, and the machine-preset configuration;
+    content-addressed digests — each experiment's digest covers its id,
+    the machine-preset configuration, and one source digest over every
+    module of the ``repro`` package (computed once per process);
 ``store``
     the content-addressed result store under ``.repro-cache/``, with
     atomic writes and corrupt-entry tolerance;

@@ -1,26 +1,26 @@
-"""Static dependency tracing and content-addressed experiment digests.
+"""Content-addressed experiment digests keyed on one package source digest.
 
-The cache key for an experiment must change exactly when its result
-could: the engine never *runs* anything to decide staleness.  So the
-key is a digest over
+The cache key for an experiment must change whenever its result could:
+the engine never *runs* anything to decide staleness.  So the key is a
+digest over
 
 1. the experiment id,
-2. the source bytes of every ``repro.*`` module the experiment's
-   builder function *transitively* imports (traced statically, below),
-3. the machine-preset configuration fingerprint (the clock periods the
-   calibrated presets are built around), and
-4. a digest schema version, so a change to the keying scheme itself
-   invalidates every prior entry.
+2. the machine-preset configuration fingerprint (the clock periods the
+   calibrated presets are built around),
+3. the *source digest*: a sha256 over the sorted
+   ``(module name, sha256(source))`` pairs of every ``.py`` file in the
+   ``repro`` package, and
+4. a digest schema version (folded into the source digest), so a change
+   to the keying scheme itself invalidates every prior entry.
 
-Tracing is per-builder, not per-module: ``repro.suite.experiments``
-imports every kernel, so hashing *its* import closure would make any
-kernel edit invalidate the whole suite.  Instead we walk the builder
-function's AST, resolve the names it references against the module's
-import table (following module-local helpers like ``_sx4``), and take
-the transitive ``repro.*`` closure of only those seeds.  Editing
-``rfft.py`` therefore invalidates ``figure6`` and ``figure7`` but not
-``table1``.  The experiments module itself is always part of the key —
-an edit there conservatively invalidates everything.
+The source digest is deliberately coarse: any edit anywhere in the
+package re-keys every experiment and every explore grid chunk (which
+fold the same value into their own keys, see
+:func:`repro.explore.engine.grid_chunk_key`).  The whole suite
+recomputes in a fraction of a second, so tracing which experiment
+imports which module would cost more than the recomputation it could
+save.  The digest is computed lazily on first use and read from disk
+once per process.
 """
 
 from __future__ import annotations
@@ -44,15 +44,14 @@ __all__ = [
     "package_root",
     "module_path",
     "dependency_closure",
-    "closure_digest",
-    "experiment_dependencies",
+    "source_digest",
     "machine_fingerprint",
     "experiment_digest",
     "suite_digests",
 ]
 
 #: Bump when the keying scheme changes: old cache entries become stale.
-DIGEST_SCHEMA = 1
+DIGEST_SCHEMA = 2
 
 #: The module whose builder functions define the suite.
 EXPERIMENTS_MODULE = "repro.suite.experiments"
@@ -84,98 +83,63 @@ def module_path(dotted: str) -> Path | None:
     return None
 
 
-def _imported_modules(tree: ast.AST, current_package: str) -> set[str]:
-    """Every ``repro.*`` module a parsed source imports (anywhere in it).
+def dependency_closure(seeds: Iterable[str]) -> dict[str, Path]:
+    """Module name -> source file for every module of the seed packages.
 
-    ``from repro.kernels import hint`` names the *submodule* — resolve
-    each alias against the filesystem to tell submodules from symbols.
+    A seed naming a package covers every ``.py`` file beneath its
+    directory; a seed naming a plain module covers that file alone.
+    Files are enumerated in sorted order, so the mapping never depends
+    on the filesystem's.
     """
-    found: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if module_path(alias.name) is not None:
-                    found.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level:  # relative import: resolve against this package
-                pkg_parts = current_package.split(".")
-                module = ".".join(pkg_parts[: len(pkg_parts) - node.level + 1]
-                                  + ([module] if module else []))
-            if module_path(module) is None:
-                continue
-            for alias in node.names:
-                submodule = f"{module}.{alias.name}"
-                found.add(submodule if module_path(submodule) is not None else module)
-    return found
-
-
-def dependency_closure(
-    seeds: Iterable[str], no_traverse: Iterable[str] = ()
-) -> dict[str, Path]:
-    """Transitive ``repro.*`` import closure of the seed modules.
-
-    Package ``__init__`` files are *hashed but never traversed*: they run
-    on import (so their bytes belong in the key), but they re-export
-    wide — ``repro.kernels`` imports every kernel — and following them
-    would collapse every experiment's closure into the whole repo.  This
-    repo's modules import submodules directly, which is the path the
-    tracer follows.  ``no_traverse`` marks additional hash-only modules
-    (the experiments module, whose imports span the suite by design).
-    """
+    root = package_root()
     closure: dict[str, Path] = {}
-    hash_only = set(no_traverse)
-    frontier = [s for s in seeds if module_path(s) is not None]
-    while frontier:
-        name = frontier.pop()
-        if name in closure:
-            continue
-        path = module_path(name)
+    for seed in seeds:
+        path = module_path(seed)
         if path is None:
             continue
-        closure[name] = path
-        # A module implies its ancestor packages (their __init__ runs on
-        # import) — included hash-only.
-        parts = name.split(".")
-        for i in range(1, len(parts)):
-            ancestor = ".".join(parts[:i])
-            ancestor_path = module_path(ancestor)
-            if ancestor_path is not None:
-                closure.setdefault(ancestor, ancestor_path)
-        if name in hash_only or path.name == "__init__.py":
-            continue
-        tree = _parse(path)
-        frontier.extend(_imported_modules(tree, name.rsplit(".", 1)[0]))
+        files = sorted(path.parent.rglob("*.py")) if path.name == "__init__.py" else [path]
+        for file in files:
+            parts = file.relative_to(root).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            closure[".".join((_PACKAGE, *parts))] = file
     return closure
+
+
+@lru_cache(maxsize=1)
+def _source_hashes() -> tuple[tuple[str, bytes], ...]:
+    """``(module, sha256(source))`` for every package module, sorted by name.
+
+    Memoised: the package is read from disk at most once per process.
+    """
+    files = dependency_closure((_PACKAGE,))
+    return tuple(
+        (name, hashlib.sha256(files[name].read_bytes()).digest()) for name in sorted(files)
+    )
+
+
+def source_digest(sources: Mapping[str, bytes] | None = None) -> str:
+    """Digest over the source of every module in the ``repro`` package.
+
+    The one code fingerprint both caches fold into their keys: the
+    :class:`~repro.engine.store.ResultStore` (through
+    :func:`experiment_digest`) and the explore
+    :class:`~repro.engine.store.ChunkStore`.  ``sources`` overrides the
+    on-disk bytes per module name — the seam tests use to ask what an
+    edit would re-key without touching the tree.
+    """
+    hashes = dict(_source_hashes())
+    for name, blob in (sources or {}).items():
+        hashes[name] = hashlib.sha256(blob).digest()
+    hasher = hashlib.sha256(f"schema={DIGEST_SCHEMA}\x00".encode())
+    for name in sorted(hashes):
+        hasher.update(f"{name}\x00".encode() + hashes[name] + b"\x00")
+    return hasher.hexdigest()
 
 
 @lru_cache(maxsize=None)
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-
-
-@lru_cache(maxsize=1)
-def _experiments_module_index() -> tuple[dict[str, str], dict[str, ast.FunctionDef]]:
-    """(import table: local name -> module, top-level functions by name)."""
-    tree = _parse(module_path(EXPERIMENTS_MODULE))
-    imports: dict[str, str] = {}
-    functions: dict[str, ast.FunctionDef] = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if module_path(alias.name) is not None:
-                    imports[(alias.asname or alias.name).split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module_path(module) is None:
-                continue
-            for alias in node.names:
-                submodule = f"{module}.{alias.name}"
-                target = submodule if module_path(submodule) is not None else module
-                imports[alias.asname or alias.name] = target
-        elif isinstance(node, ast.FunctionDef):
-            functions[node.name] = node
-    return imports, functions
 
 
 def builder_entry_points() -> tuple[tuple[str, str, str], ...]:
@@ -242,76 +206,6 @@ def _registry_entry_points(
     return tuple(entries)
 
 
-def _builder_seeds(builder_name: str) -> set[str]:
-    """Modules a builder function references, following local helpers."""
-    imports, functions = _experiments_module_index()
-    seeds: set[str] = set()
-    visited: set[str] = set()
-
-    def visit(name: str) -> None:
-        if name in visited:
-            return
-        visited.add(name)
-        fn = functions.get(name)
-        if fn is None:
-            raise KeyError(
-                f"no builder function {name!r} in {EXPERIMENTS_MODULE}"
-            )
-        seeds.update(_imported_modules(fn, EXPERIMENTS_MODULE.rsplit(".", 1)[0]))
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                if node.id in imports:
-                    seeds.add(imports[node.id])
-                elif node.id in functions and node.id != name:
-                    visit(node.id)
-
-    visit(builder_name)
-    return seeds
-
-
-def _seeds_for(exp_id: str) -> set[str]:
-    from repro.suite.experiments import EXPERIMENTS
-
-    if exp_id not in EXPERIMENTS:
-        raise KeyError(
-            f"unknown experiment {exp_id!r}; available: {sorted(EXPERIMENTS)}"
-        )
-    builder = EXPERIMENTS[exp_id]
-    module = getattr(builder, "__module__", "")
-    if module == EXPERIMENTS_MODULE:
-        return _builder_seeds(builder.__name__)
-    # A builder registered from elsewhere (tests, extensions): seed from
-    # its defining module if that is a repro module, else nothing — the
-    # experiments module below still anchors the digest.
-    return {module} if module_path(module) is not None else set()
-
-
-def closure_digest(seeds: Iterable[str]) -> str:
-    """Digest over the source bytes of the seeds' transitive closure.
-
-    The generic form of :func:`experiment_digest`'s module section:
-    callers that key a cache on "the code that computes this value"
-    (``repro.explore`` keys grid-sweep chunks this way) fold it into
-    their own content hash, so any edit to a costing module invalidates
-    exactly the chunks it could have changed.
-    """
-    deps = dependency_closure(seeds)
-    hasher = hashlib.sha256()
-    hasher.update(f"schema={DIGEST_SCHEMA}\x00".encode())
-    for name in sorted(deps):
-        hasher.update(f"{name}\x00".encode())
-        hasher.update(hashlib.sha256(deps[name].read_bytes()).digest())
-        hasher.update(b"\x00")
-    return hasher.hexdigest()
-
-
-def experiment_dependencies(exp_id: str) -> dict[str, Path]:
-    """Module name -> source file for everything the experiment depends on."""
-    seeds = _seeds_for(exp_id)
-    seeds.add(EXPERIMENTS_MODULE)
-    return dependency_closure(seeds, no_traverse={EXPERIMENTS_MODULE})
-
-
 def machine_fingerprint() -> str:
     """Digest of the machine-preset configuration the suite is built on."""
     config = {
@@ -327,34 +221,27 @@ class ExperimentDigest:
     """The content-addressed identity of one experiment's result."""
 
     exp_id: str
-    key: str  # sha256 hex over id + dep sources + machine config
-    modules: tuple[str, ...]  # sorted dependency module names
+    key: str  # sha256 hex over id + machine config + source digest
 
 
 def experiment_digest(
     exp_id: str, sources: Mapping[str, bytes] | None = None
 ) -> ExperimentDigest:
-    """Digest for one experiment.
+    """Digest for one registered experiment (``KeyError`` if unknown).
 
-    ``sources`` overrides the on-disk bytes per module name — the seam
-    tests (and ``plan --what-if`` style tooling) use to ask "what would
-    an edit to module X invalidate?" without touching the tree.
+    ``sources`` flows through to :func:`source_digest`.
     """
-    deps = experiment_dependencies(exp_id)
+    from repro.suite.experiments import EXPERIMENTS
+
+    if exp_id not in EXPERIMENTS:
+        raise KeyError(
+            f"unknown experiment {exp_id!r}; available: {sorted(EXPERIMENTS)}"
+        )
     hasher = hashlib.sha256()
-    hasher.update(f"schema={DIGEST_SCHEMA}\x00".encode())
     hasher.update(f"exp_id={exp_id}\x00".encode())
     hasher.update(f"machine={machine_fingerprint()}\x00".encode())
-    for name in sorted(deps):
-        if sources is not None and name in sources:
-            blob = sources[name]
-        else:
-            blob = deps[name].read_bytes()
-        hasher.update(f"{name}\x00".encode())
-        hasher.update(hashlib.sha256(blob).digest())
-        hasher.update(b"\x00")
-    return ExperimentDigest(exp_id=exp_id, key=hasher.hexdigest(),
-                            modules=tuple(sorted(deps)))
+    hasher.update(f"code={source_digest(sources)}\x00".encode())
+    return ExperimentDigest(exp_id=exp_id, key=hasher.hexdigest())
 
 
 def suite_digests(

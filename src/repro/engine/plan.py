@@ -7,7 +7,7 @@
     nothing to run;
 ``stale``
     the store holds results for this experiment, but only under old
-    digests (a source file it depends on changed) — re-run;
+    digests (the package source changed since) — re-run;
 ``miss``
     the store has never seen this experiment — run.
 

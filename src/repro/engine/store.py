@@ -239,7 +239,6 @@ class ResultStore:
             "schema": STORE_SCHEMA,
             "exp_id": digest.exp_id,
             "key": digest.key,
-            "modules": list(digest.modules),
             "elapsed_s": elapsed_s,
             "checksum": payload_checksum(experiment_payload),
             "experiment": experiment_payload,

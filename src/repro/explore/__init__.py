@@ -30,7 +30,6 @@ never a different model.
 """
 
 from repro.explore.engine import (
-    CHUNK_KEY_SEEDS,
     CHUNK_NAMESPACE,
     GridSuiteResult,
     cost_suite_grid,
@@ -54,7 +53,6 @@ from repro.explore.sweep import (
 )
 
 __all__ = [
-    "CHUNK_KEY_SEEDS",
     "CHUNK_NAMESPACE",
     "GridSuiteResult",
     "cost_suite_grid",

@@ -12,9 +12,9 @@ runner performs).
 With a :class:`~repro.engine.store.ChunkStore`, the grid is split into
 row chunks and each chunk's results are cached under a content hash of
 
-* the source digest of the costing code's import closure
-  (:func:`repro.engine.deps.closure_digest` over the grid/compiled/trace
-  modules — edit a kernel and exactly the affected chunks go stale),
+* the package source digest (:func:`repro.engine.deps.source_digest`,
+  the same value the experiment result store keys on — any edit to the
+  ``repro`` package re-keys every chunk),
 * the chunk's :meth:`~repro.machine.grid.MachineGrid.fingerprint`
   (the numeric columns, names excluded),
 * the trace ids and the memory dilation.
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace
-from repro.engine.deps import closure_digest
+from repro.engine.deps import source_digest
 from repro.engine.store import ChunkStore
 from repro.machine.compiled import SuiteColumns, fsum_columns
 from repro.machine.grid import GridTraceCost, MachineGrid, cost_suite_trace_grid
@@ -46,7 +46,6 @@ from repro.units import MEGA
 
 __all__ = [
     "CHUNK_NAMESPACE",
-    "CHUNK_KEY_SEEDS",
     "GridSuiteResult",
     "cost_suite_grid",
     "grid_chunk_key",
@@ -55,16 +54,6 @@ __all__ = [
 
 #: ChunkStore namespace grid-sweep chunks live under.
 CHUNK_NAMESPACE = "explore"
-
-#: Seed modules whose transitive source closure keys chunk caching —
-#: the code that determines a chunk's numbers: the grid kernels, the
-#: column lowering and suite stack (:mod:`repro.machine.compiled`), and
-#: the trace registry, whose closure covers every kernel's trace builder.
-CHUNK_KEY_SEEDS = (
-    "repro.machine.grid",
-    "repro.machine.compiled",
-    "repro.analysis.traces",
-)
 
 declare_counters(
     "explore",
@@ -108,21 +97,12 @@ class GridSuiteResult:
 
 
 def grid_chunk_key(
-    grid: MachineGrid,
-    trace_ids: tuple[str, ...],
-    memory_dilation: float,
-    code_digest: str | None = None,
+    grid: MachineGrid, trace_ids: tuple[str, ...], memory_dilation: float
 ) -> str:
-    """Content hash addressing one grid chunk's suite costs.
-
-    ``code_digest`` (the :data:`CHUNK_KEY_SEEDS` closure digest) may be
-    precomputed by callers keying many chunks in one sweep.
-    """
-    if code_digest is None:
-        code_digest = closure_digest(CHUNK_KEY_SEEDS)
+    """Content hash addressing one grid chunk's suite costs."""
     hasher = hashlib.sha256()
     hasher.update(b"explore-chunk\x00")
-    hasher.update(f"code={code_digest}\x00".encode())
+    hasher.update(f"code={source_digest()}\x00".encode())
     hasher.update(f"dilation={float(memory_dilation)!r}\x00".encode())
     for trace_id in trace_ids:
         hasher.update(f"trace={trace_id}\x00".encode())
@@ -213,7 +193,6 @@ def cost_suite_grid(
                 grid.subset(np.arange(start, min(start + chunk_machines, m)))
                 for start in range(0, m, chunk_machines)
             ]
-        code_digest = closure_digest(CHUNK_KEY_SEEDS) if store is not None else None
         # The stack is machine-independent: build it once, reuse it for
         # every chunk's fused suite × subgrid pass.  Deferred until the
         # first miss — a fully-warm sweep never stacks at all.
@@ -224,7 +203,7 @@ def cost_suite_grid(
             costs = None
             key = None
             if store is not None:
-                key = grid_chunk_key(subgrid, ids, memory_dilation, code_digest)
+                key = grid_chunk_key(subgrid, ids, memory_dilation)
                 payload = store.get(CHUNK_NAMESPACE, key)
                 if payload is not None:
                     costs = _costs_from_payload(payload, subgrid, ids, traces)

@@ -925,7 +925,7 @@ def _parse_query(query: str) -> dict[str, str]:
 def _entry_digest(exp_id: str, key: str):
     from repro.engine.deps import ExperimentDigest
 
-    return ExperimentDigest(exp_id=exp_id, key=key, modules=())
+    return ExperimentDigest(exp_id=exp_id, key=key)
 
 
 def _progress_snapshot(prof: Profile) -> dict:

@@ -459,6 +459,14 @@ class TestRepoTree:
         contract = default_contract(program)
         assert "repro.engine.executor._execute_job" in contract.worker_roots
 
+    def test_both_cache_keys_are_deterministic_roots(self):
+        from repro.analysis.repolint import repo_root
+
+        program = analyze_tree(repo_root() / "src" / "repro")
+        roots = default_contract(program).deterministic_roots
+        assert "repro.engine.deps.experiment_digest" in roots
+        assert "repro.explore.engine.grid_chunk_key" in roots
+
 
 class TestSarif:
     def test_sarif_shape_and_rules(self, tmp_path):

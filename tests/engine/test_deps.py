@@ -1,17 +1,32 @@
-"""Tests for static dependency tracing and content-addressed digests."""
+"""Tests for the package source digest and content-addressed digests."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
+from repro.engine import deps
 from repro.engine.deps import (
     EXPERIMENTS_MODULE,
     dependency_closure,
-    experiment_dependencies,
     experiment_digest,
     machine_fingerprint,
     module_path,
+    package_root,
+    source_digest,
     suite_digests,
 )
+from repro.engine.store import ChunkStore
+from repro.explore.engine import cost_suite_grid, grid_chunk_key
+from repro.machine.grid import MachineGrid
+from repro.machine.presets import canonical_machines
 from repro.suite.experiments import EXPERIMENTS
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return MachineGrid.from_processors(list(canonical_machines().values()))
 
 
 class TestModuleResolution:
@@ -27,52 +42,36 @@ class TestModuleResolution:
 
 class TestClosure:
     def test_seeds_and_their_imports_included(self):
-        closure = dependency_closure(["repro.kernels.rfft"])
+        closure = dependency_closure(["repro"])
         assert "repro.kernels.rfft" in closure
         # rfft builds on the shared FFTPACK core and the machine model.
         assert "repro.kernels.fftpack" in closure
         assert "repro.machine.processor" in closure
 
-    def test_ancestor_packages_hashed_not_traversed(self):
-        closure = dependency_closure(["repro.kernels.rfft"])
-        # The kernels package __init__ re-exports every kernel; it must be
-        # *in* the closure (it runs on import) without dragging them in.
-        assert "repro.kernels" in closure
-        assert "repro.kernels.radabs" not in closure
+    def test_package_seed_covers_every_source_file(self):
+        closure = dependency_closure(["repro"])
+        assert sorted(closure.values()) == sorted(package_root().rglob("*.py"))
+        assert closure["repro"] == module_path("repro")
+        assert closure["repro.kernels"] == module_path("repro.kernels")
 
-    def test_no_traverse_is_hash_only(self):
-        closure = dependency_closure(
-            [EXPERIMENTS_MODULE], no_traverse={EXPERIMENTS_MODULE}
-        )
-        assert EXPERIMENTS_MODULE in closure
-        # experiments imports every kernel; none may leak through.
-        assert not any(n.startswith("repro.kernels.") for n in closure)
+    def test_module_seed_covers_only_itself(self):
+        assert dependency_closure(["repro.units", "numpy"]) == {
+            "repro.units": module_path("repro.units")
+        }
 
 
 class TestExperimentDependencies:
-    def test_per_experiment_precision(self):
-        table1 = experiment_dependencies("table1")
-        figure6 = experiment_dependencies("figure6")
-        assert "repro.kernels.hint" in table1
-        assert "repro.kernels.hint" not in figure6
-        assert "repro.kernels.rfft" in figure6
-        assert "repro.kernels.rfft" not in table1
-
     def test_experiments_module_always_included(self):
+        edit = {EXPERIMENTS_MODULE: b"# edited"}
         for exp_id in ("table1", "sec4.6", "figure8"):
-            assert EXPERIMENTS_MODULE in experiment_dependencies(exp_id)
-
-    def test_local_helpers_followed(self):
-        # table5 reaches the machine presets only through the _node helper.
-        assert "repro.machine.presets" in experiment_dependencies("table5")
-
-    def test_function_local_imports_followed(self):
-        # table4 imports the CCM2 resolutions inside the builder body.
-        assert "repro.apps.ccm2.resolutions" in experiment_dependencies("table4")
+            assert (
+                experiment_digest(exp_id, sources=edit).key
+                != experiment_digest(exp_id).key
+            )
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
-            experiment_dependencies("nonsense")
+            experiment_digest("nonsense")
 
 
 class TestDigests:
@@ -82,16 +81,45 @@ class TestDigests:
     def test_digest_covers_experiment_id(self):
         assert experiment_digest("table1").key != experiment_digest("table2").key
 
-    def test_source_edit_changes_only_importers(self):
-        edit = {"repro.kernels.rfft": b"# hypothetically edited"}
-        assert (
-            experiment_digest("figure6", sources=edit).key
-            != experiment_digest("figure6").key
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.kernels.rfft",
+            "repro.machine.processor",
+            "repro.kernels",
+            EXPERIMENTS_MODULE,
+            "repro.service.app",
+        ],
+    )
+    def test_source_edit_rekeys_everything(self, module, grid, tmp_path,
+                                           monkeypatch, fresh_digest):
+        # Whatever the edit, both stores re-key: every experiment digest
+        # and the explore chunk key fold in the same source digest.
+        closure = dependency_closure(["repro"])
+        assert module in closure
+        blob = closure[module].read_bytes() + b"\n# edited\n"
+        before = suite_digests()
+        chunk_before = grid_chunk_key(grid, ("hint",), 1.0)
+        edited = tmp_path / "edited.py"
+        edited.write_bytes(blob)
+        monkeypatch.setattr(
+            deps, "dependency_closure", lambda seeds: {**closure, module: edited}
         )
-        assert (
-            experiment_digest("table1", sources=edit).key
-            == experiment_digest("table1").key
-        )
+        deps._source_hashes.cache_clear()
+        after = suite_digests()
+        for exp_id, digest in after.items():
+            assert digest.key != before[exp_id].key
+        assert grid_chunk_key(grid, ("hint",), 1.0) != chunk_before
+        # The ``sources=`` seam sees the same edit the same way.
+        monkeypatch.undo()
+        deps._source_hashes.cache_clear()
+        assert suite_digests(sources={module: blob}) == after
+
+    def test_kernel_edit_rekeys_every_experiment(self):
+        # An experiment that never imports the kernel re-keys too.
+        edit = {"repro.kernels.rfft": b"# edited"}
+        for exp_id, digest in suite_digests(sources=edit).items():
+            assert digest.key != experiment_digest(exp_id).key
 
     def test_experiments_module_edit_changes_everything(self):
         edit = {EXPERIMENTS_MODULE: b"# edited"}
@@ -106,6 +134,46 @@ class TestDigests:
     def test_machine_fingerprint_stable(self):
         assert machine_fingerprint() == machine_fingerprint()
         assert len(machine_fingerprint()) == 64
+
+    def test_source_digest_is_stable_hex(self):
+        assert source_digest() == source_digest()
+        assert len(source_digest()) == 64
+        assert source_digest({"repro.units": b"# edited"}) != source_digest()
+
+
+class TestOncePerProcess:
+    def test_package_read_once_for_both_stores(self, grid, tmp_path, monkeypatch,
+                                               fresh_digest):
+        calls = []
+        real = deps.dependency_closure
+
+        def counting(seeds):
+            calls.append(tuple(seeds))
+            return real(seeds)
+
+        monkeypatch.setattr(deps, "dependency_closure", counting)
+        suite_digests()
+        suite_digests()
+        store = ChunkStore(root=tmp_path)
+        for _ in range(2):
+            cost_suite_grid(grid, trace_ids=("hint",), store=store, chunk_machines=2)
+        assert len(calls) <= 1
+
+    def test_import_reads_no_sources(self):
+        # Plain runs never key a cache: importing the suite, engine and
+        # explore packages must not hash the package.
+        code = (
+            "import repro.suite, repro.engine, repro.explore\n"
+            "from repro.engine import deps\n"
+            "print(deps._source_hashes.cache_info().misses, "
+            "deps._parse.cache_info().misses)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(package_root().parent)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert out.stdout.split() == ["0", "0"]
 
 
 class TestBuilderEntryPoints:

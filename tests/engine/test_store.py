@@ -16,9 +16,7 @@ needs_fork = pytest.mark.skipif(
 
 
 def _digest(exp_id="table_x", key=None):
-    return ExperimentDigest(
-        exp_id=exp_id, key=key or ("a" * 64), modules=("repro.units",)
-    )
+    return ExperimentDigest(exp_id=exp_id, key=key or ("a" * 64))
 
 
 def _experiment(exp_id="table_x"):

@@ -8,8 +8,8 @@ import pytest
 
 from repro.engine import deps
 from repro.engine.store import ChunkStore
+from repro.explore import engine as explore_engine
 from repro.explore.engine import (
-    CHUNK_KEY_SEEDS,
     CHUNK_NAMESPACE,
     cost_suite_grid,
     grid_chunk_key,
@@ -147,19 +147,21 @@ class TestChunkKeys:
         assert grid_chunk_key(grid, ("hint",), 1.0) != base
         assert grid_chunk_key(grid, TRACE_SUBSET, 1.5) != base
 
-    def test_key_depends_on_source_code(self, grid):
-        key = grid_chunk_key(grid, TRACE_SUBSET, 1.0, code_digest="0" * 64)
-        assert key != grid_chunk_key(grid, TRACE_SUBSET, 1.0, code_digest="1" * 64)
+    def test_key_depends_on_source_code(self, grid, monkeypatch):
+        monkeypatch.setattr(explore_engine, "source_digest", lambda: "0" * 64)
+        key = grid_chunk_key(grid, TRACE_SUBSET, 1.0)
+        monkeypatch.setattr(explore_engine, "source_digest", lambda: "1" * 64)
+        assert key != grid_chunk_key(grid, TRACE_SUBSET, 1.0)
 
     @pytest.mark.parametrize(
         "module", ["repro.machine.compiled", "repro.machine.grid", "repro.machine.memory"]
     )
     def test_source_edit_to_costing_module_changes_key(self, grid, module, tmp_path,
-                                                       monkeypatch):
+                                                       monkeypatch, fresh_digest):
         # The suite stack, the grid kernels and the components they
         # mirror all decide a chunk's numbers, so editing any one of
         # them must re-key every chunk.
-        closure = deps.dependency_closure(CHUNK_KEY_SEEDS)
+        closure = deps.dependency_closure(("repro",))
         assert module in closure
         before = grid_chunk_key(grid, TRACE_SUBSET, 1.0)
         edited = tmp_path / "edited.py"
@@ -167,6 +169,7 @@ class TestChunkKeys:
         monkeypatch.setattr(
             deps, "dependency_closure", lambda seeds: {**closure, module: edited}
         )
+        deps._source_hashes.cache_clear()
         assert grid_chunk_key(grid, TRACE_SUBSET, 1.0) != before
 
     def test_payloads_are_json_round_trippable(self, grid, tmp_path):
