@@ -22,7 +22,7 @@ trace × the six canonical presets × dilations {1.0, 1.37}, every field
 compared with ``==``.  The result goes to ``BENCH_engine.json``.
 
 Standalone (writes the JSON report; exit 1 on parity drift or, with
-``--baseline``, on a fresh-costing regression)::
+``--baseline``, on a fresh-costing regression of either path)::
 
     python benchmarks/bench_costing_throughput.py \\
         --baseline BENCH_engine.json --max-slowdown 0.25
@@ -59,6 +59,9 @@ __all__ = [
 
 #: Exactly-compared quantities, named as on ExecutionReport and GridTraceCost.
 PARITY_FIELDS = ("cycles", "seconds", "mflops", "bandwidth_bytes_per_s")
+
+#: Fresh-machine timings ``--baseline`` gates, with their report labels.
+GATED_FIELDS = (("per_op_fresh_s_per_suite", "per-op"), ("grid_fresh_s_per_suite", "grid"))
 
 
 def build_suite() -> list[tuple[str, Trace]]:
@@ -196,8 +199,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--baseline", default=None, metavar="PATH",
                         help="committed BENCH_engine.json to regress against")
     parser.add_argument("--max-slowdown", type=float, default=0.25, metavar="F",
-                        help="fail when per_op_fresh_s_per_suite exceeds the "
-                             "baseline by more than this fraction (default: 0.25)")
+                        help="fail when per_op_fresh_s_per_suite or "
+                             "grid_fresh_s_per_suite exceeds the baseline by more "
+                             "than this fraction (default: 0.25)")
     args = parser.parse_args(argv if argv is not None else sys.argv[1:])
 
     payload = run_benchmark(rounds=args.rounds)
@@ -219,16 +223,19 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if args.baseline is not None:
         baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
-        key = "per_op_fresh_s_per_suite"
-        reference = float(baseline[key])
-        slowdown = payload[key] / reference - 1.0
-        print(f"baseline: per-op {reference * 1e3:8.3f} ms / suite ({args.baseline}); "
-              f"slowdown {slowdown:+.1%} (gate {args.max_slowdown:+.0%})")
-        if slowdown > args.max_slowdown:
-            print(f"error: fresh per-op costing regressed {slowdown:+.1%} vs "
-                  f"baseline (allowed {args.max_slowdown:+.0%}): "
-                  f"{payload[key] * 1e3:.3f} ms vs {reference * 1e3:.3f} ms",
-                  file=sys.stderr)
+        failed = False
+        for key, label in GATED_FIELDS:
+            reference = float(baseline[key])
+            slowdown = payload[key] / reference - 1.0
+            print(f"baseline: {label} {reference * 1e3:8.3f} ms / suite ({args.baseline}); "
+                  f"slowdown {slowdown:+.1%} (gate {args.max_slowdown:+.0%})")
+            if slowdown > args.max_slowdown:
+                print(f"error: fresh {label} costing regressed {slowdown:+.1%} vs "
+                      f"baseline (allowed {args.max_slowdown:+.0%}): "
+                      f"{payload[key] * 1e3:.3f} ms vs {reference * 1e3:.3f} ms",
+                      file=sys.stderr)
+                failed = True
+        if failed:
             return 1
     return 0
 

@@ -1,6 +1,6 @@
 """Static analysis: vectorization diagnostics and repo-invariant lint.
 
-Two analyzers share one diagnostics vocabulary
+Three analyzers share one diagnostics vocabulary
 (:class:`~repro.analysis.diagnostics.Diagnostic`):
 
 * the **trace analyzer** (:mod:`repro.analysis.traces` +
@@ -16,6 +16,10 @@ Two analyzers share one diagnostics vocabulary
   cache-key determinism and pool-worker purity contracts (the DET rule
   family, CI-gating against a checked-in baseline).
 
+Only the trace analyzer is re-exported here, since every suite, service
+and explorer run imports this package; the two static analyzers are
+CLI/CI tools, imported from their own modules.
+
 Run any of them from the command line::
 
     python -m repro.analysis trace radabs
@@ -29,17 +33,6 @@ from repro.analysis.diagnostics import (
     Severity,
     count_by_rule,
 )
-from repro.analysis.effects import (
-    Effect,
-    EffectContract,
-    EffectsReport,
-    analyze_and_check,
-    analyze_tree,
-    check_contracts,
-    default_contract,
-    effect_chain,
-)
-from repro.analysis.repolint import lint_file, lint_repo, repo_root
 from repro.analysis.rules import ALL_RULES
 from repro.analysis.traces import (
     EXPERIMENT_TRACE_IDS,
@@ -62,15 +55,4 @@ __all__ = [
     "experiment_summaries",
     "TRACE_BUILDERS",
     "EXPERIMENT_TRACE_IDS",
-    "lint_repo",
-    "lint_file",
-    "repo_root",
-    "Effect",
-    "EffectContract",
-    "EffectsReport",
-    "analyze_tree",
-    "analyze_and_check",
-    "check_contracts",
-    "default_contract",
-    "effect_chain",
 ]

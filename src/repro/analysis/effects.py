@@ -1,8 +1,8 @@
 """Whole-program effect analysis: cache-key determinism, worker purity.
 
 The engine's content-addressed store (:mod:`repro.engine.store`) is only
-correct if every experiment builder is a pure function of (transitive
-source digests, machine fingerprint) — an impure builder silently
+correct if every experiment builder is a pure function of the package
+source digest — an impure builder silently
 poisons the cache with results the digest cannot distinguish.  The
 repolint determinism rule (REPO004) checks for clocks and entropy
 *syntactically, per file, inside hand-listed subtrees*; it cannot follow
@@ -834,7 +834,6 @@ def default_contract(program: Program) -> EffectContract:
     for full in (
         "repro.engine.deps.experiment_digest",
         "repro.engine.deps.suite_digests",
-        "repro.engine.deps.machine_fingerprint",
         "repro.explore.engine.grid_chunk_key",
         "repro.engine.store.canonical_bytes",
         "repro.engine.store.payload_checksum",

@@ -23,11 +23,6 @@ REPO008   every ``fault_point`` call site names its site with a string
           literal drawn from :data:`repro.faults.inject.FAULT_SITES` —
           the registry that also declares the ``fault.<site>`` perfmon
           counter, so every injectable site is observable in profiles
-REPO009   every machine-axis method ``<name>_cycles_grid`` has a per-op
-          ``<name>_cycles`` sibling on the same class — the grid parity
-          contract of :mod:`repro.machine.grid`: a grid kernel is only
-          trustworthy if the per-op reference it must match bit-for-bit
-          exists to be verified against
 REPO010   CLI entry modules honor the uniform exit-code contract:
           0 = success, 1 = operation failed, 2 = usage error.  Literal
           ``sys.exit(N)`` / ``raise SystemExit(N)`` with any other
@@ -449,47 +444,6 @@ def _check_perfmon_registration(rel: str, tree: ast.Module) -> list[Diagnostic]:
     ]
 
 
-def _check_grid_siblings(rel: str, tree: ast.Module) -> list[Diagnostic]:
-    """REPO009: grid methods shadow a per-op method on the same class.
-
-    A ``<name>_cycles_grid`` method claims bit-parity with the per-op
-    ``<name>_cycles`` path on every machine of the grid, so the per-op
-    sibling must exist on the same class for the parity tests to
-    compare against.
-    """
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        methods = {
-            item.name: item
-            for item in node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        for name, method in methods.items():
-            # Private _*_grid helpers are the kernels behind the public
-            # API, not independently-verified surface.
-            if not name.endswith("_cycles_grid") or name.startswith("_"):
-                continue
-            sibling = name[: -len("_grid")]
-            if sibling in methods:
-                continue
-            found.append(
-                Diagnostic(
-                    rule_id="REPO009",
-                    severity=Severity.ERROR,
-                    location=f"{rel}:{method.lineno}",
-                    message=(
-                        f"grid method {node.name}.{name} has no per-op "
-                        f"sibling {sibling!r}; every machine-axis method "
-                        f"needs the per-op reference the parity tests "
-                        f"verify it against"
-                    ),
-                )
-            )
-    return found
-
-
 def _check_fault_sites(rel: str, tree: ast.Module) -> list[Diagnostic]:
     """REPO008: fault_point call sites name a registered site, literally.
 
@@ -794,7 +748,6 @@ def lint_file(path: Path, root: Path) -> list[Diagnostic]:
     if _in_src(rel_parts) and rel_parts[-1] != "units.py":
         found.extend(_check_magic_units(rel, tree))
     if _in_src(rel_parts):
-        found.extend(_check_grid_siblings(rel, tree))
         found.extend(_check_fault_sites(rel, tree))
     if _is_service_module(rel_parts):
         found.extend(_check_swallowed_timeouts(rel, tree))

@@ -31,6 +31,7 @@ import math
 from typing import Callable
 
 from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.machine import costs
 from repro.machine.operations import INTRINSIC_FLOP_EQUIV, ScalarOp, Trace, VectorOp
 from repro.machine.processor import Processor
 
@@ -159,7 +160,7 @@ def rule_vec003_gather_dominated(trace: Trace, processor: Processor) -> list[Dia
         ideal = max(
             (op.loads_per_element + op.gather_loads_per_element) * op.length,
             (op.stores_per_element + op.scatter_stores_per_element) * op.length,
-        ) / memory.path_words_per_cycle
+        ) / costs.path_words_per_cycle(memory)
         impact = actual / ideal if ideal > 0 else None
         found.append(
             Diagnostic(
@@ -186,11 +187,12 @@ def rule_vec004_scalar_dominated(trace: Trace, processor: Processor) -> list[Dia
     so any trace whose scalar bookkeeping exceeds ~30% of modelled time is
     style-broken.  Impact is the Amdahl bound 1/(1-f) currently forfeited.
     """
+    op_cycles = processor.execute(trace).op_cycles
     scalar_cycles = math.fsum(
-        processor.scalar_op_cycles(op) for op in trace if isinstance(op, ScalarOp)
+        cycles for op, cycles in zip(trace, op_cycles) if isinstance(op, ScalarOp)
     )
     vector_cycles = math.fsum(
-        processor.vector_op_cycles(op) for op in trace if isinstance(op, VectorOp)
+        cycles for op, cycles in zip(trace, op_cycles) if isinstance(op, VectorOp)
     )
     total_cycles = scalar_cycles + vector_cycles
     if total_cycles <= 0:
@@ -270,9 +272,8 @@ def rule_vec006_intrinsic_heavy(trace: Trace, processor: Processor) -> list[Diag
         )
         if equiv <= op.flops_per_element:
             continue
-        intrinsic_cycles = sum(
-            op.length * per * vector.intrinsic_cycles_per_element[name]
-            for name, per in op.intrinsic_calls
+        intrinsic_cycles = costs.intrinsic_cycles(
+            op, vector.intrinsic_cycles_per_element, op.length
         )
         flop_cycles = vector.arithmetic_cycles(op) - intrinsic_cycles
         if intrinsic_cycles <= flop_cycles:

@@ -5,12 +5,11 @@ the engine never *runs* anything to decide staleness.  So the key is a
 digest over
 
 1. the experiment id,
-2. the machine-preset configuration fingerprint (the clock periods the
-   calibrated presets are built around),
-3. the *source digest*: a sha256 over the sorted
+2. the *source digest*: a sha256 over the sorted
    ``(module name, sha256(source))`` pairs of every ``.py`` file in the
-   ``repro`` package, and
-4. a digest schema version (folded into the source digest), so a change
+   ``repro`` package — the machine presets and their clock periods
+   included, since they live in :mod:`repro.machine.presets`, and
+3. a digest schema version (folded into the source digest), so a change
    to the keying scheme itself invalidates every prior entry.
 
 The source digest is deliberately coarse: any edit anywhere in the
@@ -33,7 +32,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import repro
-from repro.machine import presets
 
 __all__ = [
     "DIGEST_SCHEMA",
@@ -45,13 +43,12 @@ __all__ = [
     "module_path",
     "dependency_closure",
     "source_digest",
-    "machine_fingerprint",
     "experiment_digest",
     "suite_digests",
 ]
 
 #: Bump when the keying scheme changes: old cache entries become stale.
-DIGEST_SCHEMA = 2
+DIGEST_SCHEMA = 3
 
 #: The module whose builder functions define the suite.
 EXPERIMENTS_MODULE = "repro.suite.experiments"
@@ -206,22 +203,12 @@ def _registry_entry_points(
     return tuple(entries)
 
 
-def machine_fingerprint() -> str:
-    """Digest of the machine-preset configuration the suite is built on."""
-    config = {
-        "benchmark_clock_ns": presets.BENCHMARK_CLOCK_NS,
-        "production_clock_ns": presets.PRODUCTION_CLOCK_NS,
-    }
-    text = ",".join(f"{k}={v!r}" for k, v in sorted(config.items()))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 @dataclass(frozen=True)
 class ExperimentDigest:
     """The content-addressed identity of one experiment's result."""
 
     exp_id: str
-    key: str  # sha256 hex over id + machine config + source digest
+    key: str  # sha256 hex over id + source digest
 
 
 def experiment_digest(
@@ -239,7 +226,6 @@ def experiment_digest(
         )
     hasher = hashlib.sha256()
     hasher.update(f"exp_id={exp_id}\x00".encode())
-    hasher.update(f"machine={machine_fingerprint()}\x00".encode())
     hasher.update(f"code={source_digest(sources)}\x00".encode())
     return ExperimentDigest(exp_id=exp_id, key=hasher.hexdigest())
 

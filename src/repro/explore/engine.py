@@ -37,12 +37,12 @@ from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace
 from repro.engine.deps import source_digest
 from repro.engine.store import ChunkStore
 from repro.machine.compiled import SuiteColumns, fsum_columns
+from repro.machine.costs import bandwidth_bytes_per_s, mflops
 from repro.machine.grid import GridTraceCost, MachineGrid, cost_suite_trace_grid
 from repro.perfmon.collector import active as perfmon_active
 from repro.perfmon.collector import record as perfmon_record
 from repro.perfmon.collector import span as perfmon_span
 from repro.perfmon.counters import declare_counters
-from repro.units import MEGA
 
 __all__ = [
     "CHUNK_NAMESPACE",
@@ -143,20 +143,20 @@ def _costs_from_payload(
         return None
     if payload.get("n_machines") != subgrid.n_machines:
         return None
-    costs: dict[str, GridTraceCost] = {}
-    for trace_id in trace_ids:
-        entry = payload.get("traces", {}).get(trace_id)
-        if entry is None or len(entry.get("cycles", ())) != subgrid.n_machines:
-            return None
-        costs[trace_id] = GridTraceCost.from_cycles(
-            traces[trace_id].name,
-            subgrid,
-            np.array(entry["cycles"], dtype=np.float64),
-            float(entry["raw_flops"]),
-            float(entry["flop_equivalents"]),
-            float(entry["words_moved"]),
-        )
-    return costs
+    entries = [payload.get("traces", {}).get(trace_id) for trace_id in trace_ids]
+    if any(
+        entry is None or len(entry.get("cycles", ())) != subgrid.n_machines
+        for entry in entries
+    ):
+        return None
+    return dict(zip(trace_ids, GridTraceCost.from_cycles(
+        tuple(traces[trace_id].name for trace_id in trace_ids),
+        subgrid,
+        np.array([entry["cycles"] for entry in entries], dtype=np.float64),
+        tuple(float(entry["raw_flops"]) for entry in entries),
+        tuple(float(entry["flop_equivalents"]) for entry in entries),
+        tuple(float(entry["words_moved"]) for entry in entries),
+    )))
 
 
 def cost_suite_grid(
@@ -245,10 +245,8 @@ def cost_suite_grid(
         suite_seconds = fsum_columns(np.stack([merged[t].seconds for t in ids]))
         total_flop_equivalents = math.fsum(merged[t].flop_equivalents for t in ids)
         total_words_moved = math.fsum(merged[t].words_moved for t in ids)
-        zero = suite_seconds == 0.0
-        safe = np.where(zero, 1.0, suite_seconds)
-        suite_mflops = np.where(zero, 0.0, total_flop_equivalents / safe / MEGA)
-        suite_bandwidth = np.where(zero, 0.0, (total_words_moved * 8.0) / safe)
+        suite_mflops = mflops(np, total_flop_equivalents, suite_seconds)
+        suite_bandwidth = bandwidth_bytes_per_s(np, total_words_moved, suite_seconds)
 
     if perfmon_active() is not None:
         perfmon_record(

@@ -157,6 +157,41 @@ class ParameterSweep:
 
     def build(self) -> MachineGrid:
         """The sweep as a validated :class:`MachineGrid`."""
+        # Cartesian product: first axis varies slowest (meshgrid "ij").
+        meshes = np.meshgrid(
+            *[np.array(axis.values, dtype=np.float64) for axis in self.axes], indexing="ij"
+        )
+        flattened = [mesh.reshape(-1) for mesh in meshes]
+        grid = self._grid(flattened)
+        swept = MachineGrid(
+            names=self._point_names(flattened), **{k: v for k, v in grid._columns()}
+        )
+        swept.validate()
+        if not self.include_presets:
+            return swept
+        presets = MachineGrid.from_processors(list(canonical_machines().values()))
+        return MachineGrid.concat([presets, swept])
+
+    def check(self) -> "ParameterSweep":
+        """This sweep, or ``ValueError`` exactly when :meth:`build` would
+        raise, in time linear in the number of axis values: each value gets
+        a row, every other direct axis at its smallest value and nothing else
+        offline — the binding case of the only two-parameter constraints (a
+        line within the cache, offline pipes or banks below the swept count).
+        """
+        lowest = [0.0 if PARAMETERS[a.parameter].degrade else min(a.values) for a in self.axes]
+        flattened = [
+            np.concatenate([
+                np.array(axis.values if j == i else [lowest[j]] * len(axis.values))
+                for i, axis in enumerate(self.axes)
+            ])
+            for j in range(len(self.axes))
+        ]
+        self._grid(flattened).validate()
+        return self
+
+    def _grid(self, flattened: list[np.ndarray]) -> MachineGrid:
+        """The anchor once per row, axis ``i`` set to ``flattened[i]`` (unnamed, unvalidated)."""
         base = preset_processor(self.anchor)
         for axis in self.axes:
             if PARAMETERS[axis.parameter].vector_only and base.vector is None:
@@ -164,39 +199,19 @@ class ParameterSweep:
                     f"parameter {axis.parameter!r} needs a vector-machine anchor; "
                     f"{self.anchor!r} is a cache machine"
                 )
-        n = self.n_points
+        n = len(flattened[0]) if flattened else 1
         grid = MachineGrid.from_processors([base]).subset(np.zeros(n, dtype=np.intp))
 
-        # Cartesian product: first axis varies slowest (meshgrid "ij").
-        if self.axes:
-            meshes = np.meshgrid(
-                *[np.array(axis.values, dtype=np.float64) for axis in self.axes],
-                indexing="ij",
-            )
-            flattened = [mesh.reshape(-1) for mesh in meshes]
-        else:
-            flattened = []
+        # Direct axes apply first: degradations read the swept pipe and bank counts.
+        def degrades(pair) -> bool:
+            return PARAMETERS[pair[0].parameter].degrade is not None
 
-        direct = [
-            (axis, values)
-            for axis, values in zip(self.axes, flattened)
-            if PARAMETERS[axis.parameter].degrade is None
-        ]
-        degradations = [
-            (axis, values)
-            for axis, values in zip(self.axes, flattened)
-            if PARAMETERS[axis.parameter].degrade is not None
-        ]
-
-        for axis, values in direct:
+        for axis, values in sorted(zip(self.axes, flattened), key=degrades):
             spec = PARAMETERS[axis.parameter]
-            column = getattr(grid, spec.column)
-            if spec.integer:
-                values = np.rint(values)
-            column[:] = values.astype(column.dtype)
-
-        for axis, values in degradations:
-            spec = PARAMETERS[axis.parameter]
+            if spec.degrade is None:
+                column = getattr(grid, spec.column)
+                column[:] = (np.rint(values) if spec.integer else values).astype(column.dtype)
+                continue
             offline = np.rint(values)
             if spec.degrade == "pipes":
                 remaining = grid.pipes - offline
@@ -219,14 +234,7 @@ class ParameterSweep:
                         f"some sweep point (a degraded memory keeps >= 1)"
                     )
                 grid.banks[:] = remaining_banks
-
-        names = self._point_names(flattened)
-        swept = MachineGrid(names=names, **{k: v for k, v in grid._columns()})
-        swept.validate()
-        if not self.include_presets:
-            return swept
-        presets = MachineGrid.from_processors(list(canonical_machines().values()))
-        return MachineGrid.concat([presets, swept])
+        return grid
 
     def _point_names(self, flattened: list[np.ndarray]) -> tuple[str, ...]:
         if not self.axes:

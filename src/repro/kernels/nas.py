@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.machine.operations import Trace, VectorOp
 from repro.machine.processor import Processor
-from repro.units import MEGA
 
 __all__ = [
     "nas_random",
@@ -142,7 +141,7 @@ def ep_model_mflops(processor: Processor, pairs: int = 1_000_000) -> float:
     """EP Mflops on a machine model (flop-equivalent accounting)."""
     trace = ep_trace(pairs)
     report = processor.execute(trace)
-    return report.flop_equivalents / report.seconds / MEGA
+    return report.mflops
 
 
 def cg_benchmark(nlat: int = 64, nlon: int = 96, seed: int = 0) -> dict[str, float]:

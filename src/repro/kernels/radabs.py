@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.machine.operations import ScalarOp, Trace, VectorOp
 from repro.machine.processor import Processor
-from repro.units import MEGA
 
 __all__ = [
     "RadiationColumns",
@@ -244,4 +243,4 @@ def model_mflops(processor: Processor, ncol: int = 8192, nlev: int = 18) -> floa
     collapsed, the production resolution the benchmark represents.
     """
     report = processor.execute(build_trace(ncol, nlev))
-    return report.flop_equivalents / report.seconds / MEGA
+    return report.mflops

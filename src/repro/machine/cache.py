@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.machine import costs
+from repro.machine.costs import SCALAR
 from repro.perfmon.counters import declare_counters
 
 __all__ = ["CacheModel"]
@@ -64,40 +66,30 @@ class CacheModel:
         if self.mem_words_per_cycle <= 0:
             raise ValueError("memory refill rate must be positive")
 
-    @property
-    def words_per_line(self) -> int:
-        return self.line_bytes // 8
-
     def line_fill_cycles(self) -> float:
         """Cost of one miss: latency plus streaming the line in."""
-        return self.miss_latency_cycles + self.words_per_line / self.mem_words_per_cycle
+        return costs.line_fill_cycles(self)
 
-    def miss_rate(self, stride_words: int, working_set_bytes: float, indexed: bool = False) -> float:
-        """Expected misses per referenced word.
-
-        A working set that fits in the cache stays resident across the
-        benchmark's KTRIES repetitions (best-of-N timing), so its steady
-        state is all hits.  A streaming working set misses once per line
-        touched: every ``words_per_line / stride`` references for small
-        strides, every reference once the stride reaches a line (or for
-        indexed access).
-        """
+    def _stride(self, stride_words: int, working_set_bytes: float, indexed: bool) -> int:
+        """The stride the formulas see: indexed access misses like one line's."""
         if stride_words < 1:
             raise ValueError(f"stride must be >= 1, got {stride_words}")
         if working_set_bytes < 0:
             raise ValueError("working set cannot be negative")
-        if working_set_bytes <= self.size_bytes:
-            return 0.0
-        if indexed or stride_words >= self.words_per_line:
-            return 1.0
-        return stride_words / self.words_per_line
+        return costs.words_per_line(self) if indexed else stride_words
+
+    def miss_rate(self, stride_words: int, working_set_bytes: float, indexed: bool = False) -> float:
+        """Expected misses per referenced word.  A working set that fits
+        stays resident across the benchmark's KTRIES repetitions."""
+        stride = self._stride(stride_words, working_set_bytes, indexed)
+        return costs.miss_rate(SCALAR, stride, working_set_bytes, self)
 
     def cycles_per_word(
         self, stride_words: int, working_set_bytes: float, indexed: bool = False
     ) -> float:
         """Average cost of one word reference under the given pattern."""
-        rate = self.miss_rate(stride_words, working_set_bytes, indexed)
-        return self.hit_cycles_per_word + rate * self.line_fill_cycles()
+        stride = self._stride(stride_words, working_set_bytes, indexed)
+        return costs.cache_cycles_per_word(SCALAR, stride, working_set_bytes, self)
 
     def perfmon_counters(
         self,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.machine import costs
 from repro.units import NS, hz_from_period_ns
 
 __all__ = ["Clock"]
@@ -41,7 +42,7 @@ class Clock:
         """Wall-clock seconds for a (possibly fractional) cycle count."""
         if cycles < 0:
             raise ValueError(f"cycle counts cannot be negative, got {cycles}")
-        return cycles * self.period_s
+        return costs.seconds(cycles, self.period_ns)
 
     def cycles(self, seconds: float) -> float:
         """Cycle count corresponding to a duration in seconds."""

@@ -85,23 +85,25 @@ def _stack_fields(cls, parts):
 
 @dataclass(frozen=True)
 class VectorColumns:
-    """The vector ops of one trace, one float64 column per field.
+    """The vector ops of one trace, one column per :class:`VectorOp` field.
 
-    ``intrinsics`` is an ``n x len(INTRINSICS)`` calls-per-element matrix
-    with columns in :data:`SORTED_INTRINSICS` order.  The derived columns
-    reproduce the corresponding :class:`VectorOp` property arithmetic
-    exactly.
+    Columns carry the VectorOp attribute names (float64; the strides
+    int64), so the cost formulas of :mod:`repro.machine.costs` read them
+    as they read an op.  ``intrinsics`` is an ``n x len(INTRINSICS)``
+    calls-per-element matrix with columns in :data:`SORTED_INTRINSICS`
+    order.  The derived columns reproduce the corresponding
+    :class:`VectorOp` property arithmetic exactly.
     """
 
     length: np.ndarray  # float64 copy of the int lengths
     count: np.ndarray
-    flops: np.ndarray  # flops_per_element
-    loads: np.ndarray  # loads_per_element
-    stores: np.ndarray  # stores_per_element
+    flops_per_element: np.ndarray
+    loads_per_element: np.ndarray
+    stores_per_element: np.ndarray
     load_stride: np.ndarray  # int64
     store_stride: np.ndarray  # int64
-    gather: np.ndarray  # gather_loads_per_element
-    scatter: np.ndarray  # scatter_stores_per_element
+    gather_loads_per_element: np.ndarray
+    scatter_stores_per_element: np.ndarray
     intrinsics: np.ndarray  # (n, len(INTRINSICS)) calls per element
 
     # derived, precomputed at lowering time (machine-independent)
@@ -115,15 +117,19 @@ class VectorColumns:
 
     @classmethod
     def from_ops(cls, ops: list[VectorOp]) -> "VectorColumns":
-        n = len(ops)
-        length = np.array([op.length for op in ops], dtype=np.float64)
-        count = np.array([op.count for op in ops], dtype=np.float64)
-        flops = np.array([op.flops_per_element for op in ops], dtype=np.float64)
-        loads = np.array([op.loads_per_element for op in ops], dtype=np.float64)
-        stores = np.array([op.stores_per_element for op in ops], dtype=np.float64)
-        gather = np.array([op.gather_loads_per_element for op in ops], dtype=np.float64)
-        scatter = np.array([op.scatter_stores_per_element for op in ops], dtype=np.float64)
-        intrinsics = np.zeros((n, len(SORTED_INTRINSICS)), dtype=np.float64)
+        f64, i64 = np.float64, np.int64
+        columns = dict(
+            length=np.array([op.length for op in ops], f64),
+            count=np.array([op.count for op in ops], f64),
+            flops_per_element=np.array([op.flops_per_element for op in ops], f64),
+            loads_per_element=np.array([op.loads_per_element for op in ops], f64),
+            stores_per_element=np.array([op.stores_per_element for op in ops], f64),
+            load_stride=np.array([op.load_stride for op in ops], i64),
+            store_stride=np.array([op.store_stride for op in ops], i64),
+            gather_loads_per_element=np.array([op.gather_loads_per_element for op in ops], f64),
+            scatter_stores_per_element=np.array([op.scatter_stores_per_element for op in ops], f64),
+        )
+        intrinsics = np.zeros((len(ops), len(SORTED_INTRINSICS)), dtype=np.float64)
         column_of = {name: i for i, name in enumerate(SORTED_INTRINSICS)}
         for row, op in enumerate(ops):
             for name, per in op.intrinsic_calls:
@@ -132,23 +138,18 @@ class VectorColumns:
         # Derived columns: each expression mirrors the VectorOp property
         # arithmetic (same association), so every entry is bit-identical
         # to the per-op value.
+        length, count = columns["length"], columns["count"]
         elements = length * count
-        raw = flops * elements
+        raw = columns["flops_per_element"] * elements
         equiv = raw.copy()
         for i, name in enumerate(SORTED_INTRINSICS):
             equiv = equiv + (INTRINSIC_FLOP_EQUIV[name] * intrinsics[:, i]) * elements
-        sequential = (loads + stores) * length
-        indexed = (gather + scatter) * length
+        sequential = (columns["loads_per_element"] + columns["stores_per_element"]) * length
+        indexed = (
+            columns["gather_loads_per_element"] + columns["scatter_stores_per_element"]
+        ) * length
         return cls(
-            length=length,
-            count=count,
-            flops=flops,
-            loads=loads,
-            stores=stores,
-            load_stride=np.array([op.load_stride for op in ops], dtype=np.int64),
-            store_stride=np.array([op.store_stride for op in ops], dtype=np.int64),
-            gather=gather,
-            scatter=scatter,
+            **columns,
             intrinsics=intrinsics,
             raw_flops=raw,
             flop_equivalents=equiv,
@@ -158,7 +159,7 @@ class VectorColumns:
 
 @dataclass(frozen=True)
 class ScalarColumns:
-    """The scalar ops of one trace, one float64 column per field."""
+    """The scalar ops of one trace, one float64 column per :class:`ScalarOp` field."""
 
     instructions: np.ndarray
     flops: np.ndarray

@@ -9,45 +9,36 @@ structure-of-arrays columns — one float64/int64 entry per machine — and
 one broadcasted NumPy pass of shape ``(n_ops, n_machines)`` prices a
 whole trace against a whole design space.
 
-The correctness story is exact parity with the per-op path:
-
-* every grid kernel evaluates the *exact expression* of its per-op
-  sibling method on :class:`~repro.machine.vector_unit.VectorUnit`,
-  :class:`~repro.machine.memory.BankedMemory`,
-  :class:`~repro.machine.scalar_unit.ScalarUnit` or
-  :class:`~repro.machine.cache.CacheModel`, with op columns broadcast as
-  ``(n, 1)`` against machine columns as ``(m,)`` — IEEE-754 arithmetic
-  is elementwise, so machine ``j``'s column of the broadcasted result is
-  bit-identical to that machine's per-op cycles, and the per-op
-  methods' conditional terms become unconditional adds of an exact 0.0;
-* cache machines get benign placeholder vector/memory columns (masked
-  out by ``has_vector`` through :func:`numpy.where`, which *selects*
-  values and never mixes lanes), and vector machines' scalar columns
-  are real, so one pass covers a heterogeneous grid;
-* per-machine totals reduce with :func:`~repro.machine.compiled.fsum_columns`
-  (exactly-rounded column sums), matching the per-op path's ``fsum``.
-
-``tests/machine`` pins the contract down: every :class:`GridTraceCost`
-field equals the per-machine :meth:`Processor.execute` report
-bit-for-bit on all registered traces across the six canonical presets,
+Parity with the per-op path holds by construction: each cost term is
+one expression in :mod:`repro.machine.costs`, and both paths evaluate
+it.  This module only lays the columns out for the formulas — op
+columns as ``(n, 1)`` under the op attribute names, machine columns as
+``(m,)`` rows under the component attribute names — with :mod:`numpy`
+as their namespace, so IEEE-754 elementwise arithmetic makes machine
+``j``'s column bit-identical to that machine's per-op cycles.  Beyond
+that it computes each distinct stride's factor once (``np.unique``),
+selects cache-machine lanes with ``has_vector`` (their vector/memory
+columns hold benign placeholders; :func:`numpy.where` selects, never
+mixes), and reduces with :func:`~repro.machine.compiled.fsum_columns`,
+matching the per-op path's ``fsum``.  ``tests/machine`` asserts every
+:class:`GridTraceCost` field equals :meth:`Processor.execute`'s,
+bit-for-bit, on all registered traces across the six canonical presets
 and on hypothesis-random machines and traces.
-
-REPO009 (:mod:`repro.analysis.repolint`) keeps the pairing closed under
-extension: every public ``*_cycles_grid`` method must sit next to the
-per-op ``*_cycles`` sibling the parity tests verify it against.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.machine import costs
 from repro.machine.cache import CacheModel
 from repro.machine.clock import Clock
-from repro.machine.compiled import SORTED_INTRINSICS, compile_trace, fsum_columns
+from repro.machine.compiled import SORTED_INTRINSICS, SuiteColumns, VectorColumns, fsum_columns
 from repro.machine.memory import BankedMemory
 from repro.machine.processor import ExecutionReport, Processor
 from repro.machine.scalar_unit import ScalarUnit
@@ -55,10 +46,9 @@ from repro.machine.vector_unit import VectorUnit
 from repro.perfmon.collector import active as perfmon_active
 from repro.perfmon.collector import record as perfmon_record
 from repro.perfmon.counters import declare_counters
-from repro.units import MEGA, NS
 
 if TYPE_CHECKING:
-    from repro.machine.compiled import CompiledTrace, SuiteColumns, VectorColumns
+    from repro.machine.compiled import CompiledTrace, ScalarColumns
     from repro.machine.operations import Trace
 
 __all__ = ["MachineGrid", "GridTraceCost", "cost_trace_grid", "cost_suite_trace_grid"]
@@ -83,6 +73,45 @@ def _pynum(value: float) -> int | float:
     number = float(value)
     integral = int(number)
     return integral if integral == number else number
+
+
+#: Component parameters and their grid columns: ``(name, cache-machine
+#: placeholder, materialized type)``.  The placeholders keep every vector
+#: and memory expression finite on cache machines, whose lanes the
+#: ``has_vector`` selection discards.
+_VECTOR_PARAMETERS = (
+    ("pipes", 1.0, _pynum),
+    ("concurrent_sets", 1.0, _pynum),
+    ("startup_cycles", 0.0, float),
+    ("register_length", 1.0, _pynum),
+    ("stripmine_cycles", 0.0, float),
+)
+_MEMORY_PARAMETERS = (
+    ("banks", 1, int),
+    ("bank_busy_cycles", 1.0, float),
+    ("port_words_per_cycle", 2.0, float),
+    ("stride_base_penalty", 1.0, float),
+    ("gather_base_penalty", 1.0, float),
+    ("index_words_per_element", 0.0, float),
+    ("contention_slope", 0.0, float),
+    ("contention_base_slope", 0.0, float),
+)
+#: Scalar-unit parameters (float columns of the same name).
+_SCALAR_PARAMETERS = ("issue_width", "flops_per_cycle", "loop_overhead_instructions")
+#: CacheModel parameters, in ``cache_<name>`` columns.
+_CACHE_PARAMETERS = (
+    ("size_bytes", int),
+    ("line_bytes", int),
+    ("hit_cycles_per_word", float),
+    ("miss_latency_cycles", float),
+    ("mem_words_per_cycle", float),
+)
+_INT_COLUMNS = {"banks", "cache_size_bytes", "cache_line_bytes"}
+
+#: Elements per (rows, machines) costing temporary: 256 KiB of float64 stays
+#: in cache and reused heap; one (n_ops, m) pass measured 9-17% slower on
+#: 256- to 1000-machine grids.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(eq=False)
@@ -132,8 +161,11 @@ class MachineGrid:
     cache_hit_cycles_per_word: np.ndarray
     cache_miss_latency_cycles: np.ndarray
     cache_mem_words_per_cycle: np.ndarray
-    #: materialized processors, memoised per row.
-    _materialized: dict[int, Processor] = field(default_factory=dict, repr=False)
+    #: materialized processors, memoised per row (never copied by
+    #: ``dataclasses.replace``, so a replaced grid cannot serve stale rows).
+    _materialized: dict[int, Processor] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @property
     def n_machines(self) -> int:
@@ -171,51 +203,30 @@ class MachineGrid:
             raise ValueError("a MachineGrid needs at least one processor")
         rows = []
         for p in processors:
-            vector = p.vector
-            memory = p.memory
-            scalar = p.scalar
-            cache = scalar.cache
-            rows.append(
-                dict(
-                    has_vector=vector is not None,
-                    period_ns=p.clock.period_ns,
-                    pipes=vector.pipes if vector else 1.0,
-                    concurrent_sets=vector.concurrent_sets if vector else 1.0,
-                    startup_cycles=vector.startup_cycles if vector else 0.0,
-                    register_length=vector.register_length if vector else 1.0,
-                    stripmine_cycles=vector.stripmine_cycles if vector else 0.0,
-                    vector_intrinsic_rates=[
-                        vector.intrinsic_cycles_per_element[name] if vector else 0.0
-                        for name in SORTED_INTRINSICS
-                    ],
-                    banks=memory.banks if memory else 1,
-                    bank_busy_cycles=memory.bank_busy_cycles if memory else 1.0,
-                    port_words_per_cycle=memory.port_words_per_cycle if memory else 2.0,
-                    stride_base_penalty=memory.stride_base_penalty if memory else 1.0,
-                    gather_base_penalty=memory.gather_base_penalty if memory else 1.0,
-                    index_words_per_element=memory.index_words_per_element if memory else 0.0,
-                    contention_slope=memory.contention_slope if memory else 0.0,
-                    contention_base_slope=memory.contention_base_slope if memory else 0.0,
-                    issue_width=scalar.issue_width,
-                    flops_per_cycle=scalar.flops_per_cycle,
-                    loop_overhead_instructions=scalar.loop_overhead_instructions,
-                    scalar_intrinsic_rates=[
-                        scalar.intrinsic_cycles_per_call[name] for name in SORTED_INTRINSICS
-                    ],
-                    cache_size_bytes=cache.size_bytes,
-                    cache_line_bytes=cache.line_bytes,
-                    cache_hit_cycles_per_word=cache.hit_cycles_per_word,
-                    cache_miss_latency_cycles=cache.miss_latency_cycles,
-                    cache_mem_words_per_cycle=cache.mem_words_per_cycle,
-                )
-            )
-        int_columns = {"banks", "cache_size_bytes", "cache_line_bytes"}
+            vector, memory, scalar = p.vector, p.memory, p.scalar
+            row = dict(has_vector=vector is not None, period_ns=p.clock.period_ns)
+            for name, placeholder, _ in _VECTOR_PARAMETERS:
+                row[name] = getattr(vector, name) if vector else placeholder
+            for name, placeholder, _ in _MEMORY_PARAMETERS:
+                row[name] = getattr(memory, name) if memory else placeholder
+            for name in _SCALAR_PARAMETERS:
+                row[name] = getattr(scalar, name)
+            for name, _ in _CACHE_PARAMETERS:
+                row[f"cache_{name}"] = getattr(scalar.cache, name)
+            row["vector_intrinsic_rates"] = [
+                vector.intrinsic_cycles_per_element[name] if vector else 0.0
+                for name in SORTED_INTRINSICS
+            ]
+            row["scalar_intrinsic_rates"] = [
+                scalar.intrinsic_cycles_per_call[name] for name in SORTED_INTRINSICS
+            ]
+            rows.append(row)
         columns: dict[str, np.ndarray] = {}
         for key in rows[0]:
             values = [row[key] for row in rows]
             if key == "has_vector":
                 columns[key] = np.array(values, dtype=bool)
-            elif key in int_columns:
+            elif key in _INT_COLUMNS:
                 columns[key] = np.array(values, dtype=np.int64)
             else:
                 columns[key] = np.array(values, dtype=np.float64)
@@ -264,12 +275,16 @@ class MachineGrid:
             ("stride_base_penalty", self.stride_base_penalty >= 1.0),
             ("gather_base_penalty", self.gather_base_penalty >= 1.0),
             ("index_words_per_element", self.index_words_per_element >= 0.0),
+            ("contention_slope", self.contention_slope >= 0.0),
+            ("contention_base_slope", self.contention_base_slope >= 0.0),
             ("issue_width", self.issue_width > 0.0),
             ("flops_per_cycle", self.flops_per_cycle > 0.0),
             ("loop_overhead_instructions", self.loop_overhead_instructions >= 0.0),
             ("scalar_intrinsic_rates", (self.scalar_intrinsic_rates >= 0.0).all(axis=1)),
             ("cache_size_bytes", self.cache_size_bytes >= 8),
             ("cache_line_bytes", self.cache_line_bytes >= 8),
+            ("cache_line_bytes", self.cache_line_bytes % 8 == 0),
+            ("cache_line_bytes", self.cache_line_bytes <= self.cache_size_bytes),
             ("cache_hit_cycles_per_word", self.cache_hit_cycles_per_word >= 0.0),
             ("cache_miss_latency_cycles", self.cache_miss_latency_cycles >= 0.0),
             ("cache_mem_words_per_cycle", self.cache_mem_words_per_cycle > 0.0),
@@ -309,44 +324,25 @@ class MachineGrid:
         cached = self._materialized.get(i)
         if cached is not None:
             return cached
+
+        def rates(matrix: np.ndarray) -> dict[str, float]:
+            return {name: float(matrix[i, c]) for c, name in enumerate(SORTED_INTRINSICS)}
+
         scalar = ScalarUnit(
-            issue_width=float(self.issue_width[i]),
-            flops_per_cycle=float(self.flops_per_cycle[i]),
-            cache=CacheModel(
-                size_bytes=int(self.cache_size_bytes[i]),
-                line_bytes=int(self.cache_line_bytes[i]),
-                hit_cycles_per_word=float(self.cache_hit_cycles_per_word[i]),
-                miss_latency_cycles=float(self.cache_miss_latency_cycles[i]),
-                mem_words_per_cycle=float(self.cache_mem_words_per_cycle[i]),
-            ),
-            loop_overhead_instructions=float(self.loop_overhead_instructions[i]),
-            intrinsic_cycles_per_call={
-                name: float(self.scalar_intrinsic_rates[i, column])
-                for column, name in enumerate(SORTED_INTRINSICS)
-            },
+            **{name: float(getattr(self, name)[i]) for name in _SCALAR_PARAMETERS},
+            cache=CacheModel(**{
+                name: kind(getattr(self, f"cache_{name}")[i]) for name, kind in _CACHE_PARAMETERS
+            }),
+            intrinsic_cycles_per_call=rates(self.scalar_intrinsic_rates),
         )
         vector = memory = None
         if self.has_vector[i]:
             vector = VectorUnit(
-                pipes=_pynum(self.pipes[i]),
-                concurrent_sets=_pynum(self.concurrent_sets[i]),
-                startup_cycles=float(self.startup_cycles[i]),
-                register_length=_pynum(self.register_length[i]),
-                stripmine_cycles=float(self.stripmine_cycles[i]),
-                intrinsic_cycles_per_element={
-                    name: float(self.vector_intrinsic_rates[i, column])
-                    for column, name in enumerate(SORTED_INTRINSICS)
-                },
+                **{name: kind(getattr(self, name)[i]) for name, _, kind in _VECTOR_PARAMETERS},
+                intrinsic_cycles_per_element=rates(self.vector_intrinsic_rates),
             )
             memory = BankedMemory(
-                banks=int(self.banks[i]),
-                bank_busy_cycles=float(self.bank_busy_cycles[i]),
-                port_words_per_cycle=float(self.port_words_per_cycle[i]),
-                stride_base_penalty=float(self.stride_base_penalty[i]),
-                gather_base_penalty=float(self.gather_base_penalty[i]),
-                index_words_per_element=float(self.index_words_per_element[i]),
-                contention_slope=float(self.contention_slope[i]),
-                contention_base_slope=float(self.contention_base_slope[i]),
+                **{name: kind(getattr(self, name)[i]) for name, _, kind in _MEMORY_PARAMETERS}
             )
         processor = Processor(
             name=self.names[i],
@@ -358,110 +354,23 @@ class MachineGrid:
         self._materialized[i] = processor
         return processor
 
-    # -- grid kernels (exact mirrors of the per-op component methods) -------
-    # Op columns broadcast as (n, 1) against machine columns as (m,);
-    # every elementwise expression below keeps the association of its
-    # per-op sibling, so column j of any result is bit-identical to
-    # machine j's per-op cycles.
-    def _path_words(self) -> np.ndarray:
-        return self.port_words_per_cycle / 2.0
+    # -- costing: the formulas of repro.machine.costs over columns ----------
+    # The grid is the component the formulas read: its columns carry the
+    # component attribute names, and these properties supply the rest.
+    @property
+    def intrinsic_cycles_per_element(self) -> dict[str, np.ndarray]:
+        return _rate_columns(self.vector_intrinsic_rates)
 
-    def _stride_factor_grid(self, strides: np.ndarray) -> np.ndarray:
-        """(n, m) stride dilation — BankedMemory.stride_factor, vectorized.
+    @property
+    def intrinsic_cycles_per_call(self) -> dict[str, np.ndarray]:
+        return _rate_columns(self.scalar_intrinsic_rates)
 
-        ``np.gcd`` agrees with ``math.gcd`` on int64, so the distinct-
-        bank count (and everything downstream) matches the per-op code.
-        """
-        unique, inverse = np.unique(strides, return_inverse=True)
-        distinct = self.banks[None, :] // np.gcd(unique[:, None], self.banks[None, :])
-        sustainable = distinct / self.bank_busy_cycles[None, :]
-        conflict = np.maximum(1.0, self._path_words()[None, :] / sustainable)
-        factors = np.where(
-            unique[:, None] <= 2, 1.0, self.stride_base_penalty[None, :] * conflict
+    @property
+    def cache(self) -> SimpleNamespace:
+        """The cache columns under the CacheModel attribute names."""
+        return SimpleNamespace(
+            **{name: getattr(self, f"cache_{name}") for name, _ in _CACHE_PARAMETERS}
         )
-        return factors[inverse]
-
-    def _gather_factor_grid(self) -> np.ndarray:
-        """(m,) list-vector dilation — BankedMemory.gather_factor."""
-        occupancy = self._path_words() * self.bank_busy_cycles / self.banks
-        return self.gather_base_penalty * (1.0 + occupancy)
-
-    def _load_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
-        """(n, m) load-path cycles — BankedMemory.load_cycles."""
-        width = self._path_words()[None, :]
-        length = v.length[:, None]
-        cycles = v.loads[:, None] * length * self._stride_factor_grid(v.load_stride) / width
-        cycles = cycles + v.gather[:, None] * length * self._gather_factor_grid()[None, :] / width
-        indexed = (v.gather + v.scatter)[:, None]
-        cycles = cycles + indexed * length * self.index_words_per_element[None, :] / width
-        return cycles
-
-    def _store_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
-        """(n, m) store-path cycles — BankedMemory.store_cycles."""
-        width = self._path_words()[None, :]
-        length = v.length[:, None]
-        cycles = v.stores[:, None] * length * self._stride_factor_grid(v.store_stride) / width
-        cycles = cycles + v.scatter[:, None] * length * self._gather_factor_grid()[None, :] / width
-        return cycles
-
-    def _transfer_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
-        return np.maximum(self._load_cycles_grid(v), self._store_cycles_grid(v))
-
-    def _arithmetic_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
-        """(n, m) pipeline-busy cycles — VectorUnit.arithmetic_cycles."""
-        sets_used = np.minimum(self.concurrent_sets[None, :], np.maximum(1.0, v.flops)[:, None])
-        cycles = v.length[:, None] * v.flops[:, None] / (self.pipes[None, :] * sets_used)
-        for column in range(len(SORTED_INTRINSICS)):
-            rate = self.vector_intrinsic_rates[:, column][None, :]
-            cycles = cycles + (v.length[:, None] * v.intrinsics[:, column][:, None]) * rate
-        return cycles
-
-    def _overhead_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
-        """(n, m) startup + strip-mining — VectorUnit.overhead_cycles."""
-        strips = np.maximum(1.0, np.ceil(v.length[:, None] / self.register_length[None, :]))
-        return self.startup_cycles[None, :] + (strips - 1.0) * self.stripmine_cycles[None, :]
-
-    def _cache_cycles_per_word_grid(
-        self, stride: np.ndarray, working_set: np.ndarray
-    ) -> np.ndarray:
-        """(n, m) per-word cost — CacheModel.cycles_per_word."""
-        words_per_line = self.cache_line_bytes // 8
-        streaming = np.where(
-            stride[:, None] >= words_per_line[None, :],
-            1.0,
-            stride[:, None] / words_per_line[None, :],
-        )
-        rate = np.where(working_set[:, None] <= self.cache_size_bytes[None, :], 0.0, streaming)
-        line_fill = self.cache_miss_latency_cycles + words_per_line / self.cache_mem_words_per_cycle
-        return self.cache_hit_cycles_per_word[None, :] + rate * line_fill[None, :]
-
-    def _scalar_vector_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
-        """(n, m) VectorOps as scalar loops — ScalarUnit.vector_op_cycles."""
-        words_per_elem = (v.loads + v.stores)[:, None]
-        indexed_per_elem = v.gather + v.scatter
-        working_set = (v.loads * v.load_stride + v.stores * v.store_stride) * v.length * 8.0
-        stride = np.maximum(v.load_stride, v.store_stride)
-        mem_cycles = words_per_elem * self._cache_cycles_per_word_grid(stride, working_set)
-        mem_cycles = mem_cycles + (indexed_per_elem * 2.0)[:, None] * (
-            self.cache_hit_cycles_per_word[None, :]
-        )
-        flop_cycles = v.flops[:, None] / self.flops_per_cycle[None, :]
-        loop_cycles = (self.loop_overhead_instructions / self.issue_width)[None, :]
-        intrinsic_cycles = np.zeros((v.n, self.n_machines))
-        for column in range(len(SORTED_INTRINSICS)):
-            rate = self.scalar_intrinsic_rates[:, column][None, :]
-            intrinsic_cycles = intrinsic_cycles + v.intrinsics[:, column][:, None] * rate
-        per_element = np.maximum(flop_cycles, mem_cycles) + loop_cycles + intrinsic_cycles
-        return v.length[:, None] * per_element
-
-    # -- public costing API --------------------------------------------------
-    # Each ``*_cycles_grid`` method sits next to its per-op reference
-    # ``*_cycles`` (one materialized machine's per-op path, REPO009):
-    # the parity tests compare a grid column against it.
-    def vector_op_cycles(self, op, index: int, memory_dilation: float = 1.0) -> float:
-        """Per-op reference for one row: the materialized processor's
-        per-op path."""
-        return self.materialize(index).vector_op_cycles(op, memory_dilation)
 
     def vector_op_cycles_grid(
         self, columns: "CompiledTrace | SuiteColumns", memory_dilation: float = 1.0
@@ -470,44 +379,63 @@ class MachineGrid:
         if memory_dilation < 1.0:
             raise ValueError(f"memory dilation cannot shrink time, got {memory_dilation}")
         v = columns.vector
-        per_execution = None
-        if bool(self.has_vector.any()):
-            memory = self._transfer_cycles_grid(v) * memory_dilation
-            per_execution = self._overhead_cycles_grid(v) + np.maximum(
-                self._arithmetic_cycles_grid(v), memory
-            )
-        if not bool(self.has_vector.all()):
-            dilated = self._scalar_vector_cycles_grid(v) * memory_dilation
-            if per_execution is None:
-                per_execution = dilated
+        cycles = np.empty((v.n, self.n_machines))
+        factors = _AccessFactorColumns(self)
+        any_vector, all_vector = bool(self.has_vector.any()), bool(self.has_vector.all())
+        # Row blocks bound the formulas' (rows, m) temporaries (see
+        # _BLOCK_ELEMENTS); a one-machine grid costs in a single block.
+        blocks = max(1, -(-v.n * self.n_machines // _BLOCK_ELEMENTS))
+        step = max(1, -(-v.n // blocks))
+        for start in range(0, v.n, step):
+            rows = slice(start, start + step)
+            op = _op_view(v, rows)
+            if not any_vector:
+                block = costs.scalar_loop_cycles(np, op, self, memory_dilation, op.count)
             else:
-                per_execution = np.where(self.has_vector[None, :], per_execution, dilated)
-        return per_execution * v.count[:, None]
-
-    def scalar_op_cycles(self, op, index: int) -> float:
-        """Per-op reference for one row (see ``vector_op_cycles``)."""
-        return self.materialize(index).scalar_op_cycles(op)
+                block = costs.vector_op_cycles(np, op, self, self, factors, memory_dilation)
+                if not all_vector:
+                    on_cache = costs.scalar_loop_cycles(np, op, self, memory_dilation, op.count)
+                    block = np.where(self.has_vector, block, on_cache)
+            cycles[rows] = block
+        return cycles
 
     def scalar_op_cycles_grid(self, columns: "CompiledTrace | SuiteColumns") -> np.ndarray:
         """(n_scalar_ops, m) total cycles for every scalar op × machine."""
-        s = columns.scalar
-        issue = s.instructions[:, None] / self.issue_width[None, :]
-        fp = s.flops[:, None] / self.flops_per_cycle[None, :]
-        memory = s.memory_words[:, None] * self.cache_hit_cycles_per_word[None, :]
-        return (issue + fp + memory) * s.count[:, None]
+        op = _op_view(columns.scalar)
+        return costs.scalar_op_cycles(op, self, op.count)
 
-    def _op_cycles_grid(
-        self, columns: "CompiledTrace | SuiteColumns", memory_dilation: float = 1.0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(vector, scalar) per-op cycle matrices; empty sets cost nothing."""
-        m = self.n_machines
-        vector = (
-            self.vector_op_cycles_grid(columns, memory_dilation)
-            if columns.vector.n
-            else np.zeros((0, m))
-        )
-        scalar = self.scalar_op_cycles_grid(columns) if columns.scalar.n else np.zeros((0, m))
-        return vector, scalar
+
+def _op_view(
+    columns: "VectorColumns | ScalarColumns", rows: slice = slice(None)
+) -> SimpleNamespace:
+    """The op columns' ``rows`` as ``(n, 1)`` under the op attribute names;
+    the intrinsic matrix as VectorOp's ``(name, calls)`` pairs."""
+    view = SimpleNamespace(
+        **{f.name: getattr(columns, f.name)[rows, None] for f in fields(columns)}
+    )
+    if isinstance(columns, VectorColumns):
+        view.intrinsic_calls = [
+            (name, columns.intrinsics[rows, i, None]) for i, name in enumerate(SORTED_INTRINSICS)
+        ]
+    return view
+
+
+def _rate_columns(matrix: np.ndarray) -> dict[str, np.ndarray]:
+    """An (m, 6) intrinsic-rate matrix as name -> (m,) column."""
+    return {name: matrix[:, i] for i, name in enumerate(SORTED_INTRINSICS)}
+
+
+class _AccessFactorColumns:
+    """The grid's access factors: an ``(n, 1)`` stride column -> ``(n, m)``
+    factors, each distinct stride costed once, and the gather factor."""
+
+    def __init__(self, grid: MachineGrid) -> None:
+        self.grid = grid
+        self.gather = costs.gather_factor(grid)
+
+    def __getitem__(self, strides: np.ndarray) -> np.ndarray:
+        unique, inverse = np.unique(strides.ravel(), return_inverse=True)
+        return costs.stride_factor(np, unique[:, None], self.grid)[inverse]
 
 
 def _record_costing(grid: MachineGrid, n_traces: int) -> None:
@@ -549,28 +477,32 @@ class GridTraceCost:
     @classmethod
     def from_cycles(
         cls,
-        trace_name: str,
+        trace_names: tuple[str, ...],
         grid: MachineGrid,
         cycles: np.ndarray,
-        raw_flops: float,
-        flop_equivalents: float,
-        words_moved: float,
-    ) -> "GridTraceCost":
-        """Derive seconds and rates from per-machine cycle totals."""
-        seconds = cycles * (grid.period_ns * NS)
-        zero = seconds == 0.0
-        safe_seconds = np.where(zero, 1.0, seconds)
-        return cls(
-            trace_name=trace_name,
-            machine_names=grid.names,
-            cycles=cycles,
-            seconds=seconds,
-            mflops=np.where(zero, 0.0, flop_equivalents / safe_seconds / MEGA),
-            bandwidth_bytes_per_s=np.where(zero, 0.0, (words_moved * 8.0) / safe_seconds),
-            raw_flops=raw_flops,
-            flop_equivalents=flop_equivalents,
-            words_moved=words_moved,
-        )
+        raw_flops: tuple[float, ...],
+        flop_equivalents: tuple[float, ...],
+        words_moved: tuple[float, ...],
+    ) -> list["GridTraceCost"]:
+        """One cost per row of a ``(traces, machines)`` cycle matrix;
+        seconds and rates derive for every row in one pass."""
+        seconds = costs.seconds(cycles, grid.period_ns)
+        mflops = costs.mflops(np, np.array(flop_equivalents)[:, None], seconds)
+        bandwidth = costs.bandwidth_bytes_per_s(np, np.array(words_moved)[:, None], seconds)
+        return [
+            cls(
+                trace_name=name,
+                machine_names=grid.names,
+                cycles=cycles[i],
+                seconds=seconds[i],
+                mflops=mflops[i],
+                bandwidth_bytes_per_s=bandwidth[i],
+                raw_flops=raw_flops[i],
+                flop_equivalents=flop_equivalents[i],
+                words_moved=words_moved[i],
+            )
+            for i, name in enumerate(trace_names)
+        ]
 
     def report(self, index: int) -> ExecutionReport:
         """One machine's row as a standard :class:`ExecutionReport`.
@@ -594,24 +526,11 @@ class GridTraceCost:
 def cost_trace_grid(
     trace: "Trace", grid: MachineGrid, memory_dilation: float = 1.0
 ) -> GridTraceCost:
-    """Cost one trace against every machine of a grid in one pass.
-
-    Bit-exact with :meth:`Processor.execute` per machine: the per-op
-    matrices come from the grid kernels (exact mirrors of the per-op
-    methods), per-machine totals are exactly-rounded column sums, and
-    the derived fields replicate the report expressions.
-    """
-    compiled = compile_trace(trace)
-    vector_cycles, scalar_cycles = grid._op_cycles_grid(compiled, memory_dilation)
-    _record_costing(grid, 1)
-    return GridTraceCost.from_cycles(
-        trace.name,
-        grid,
-        fsum_columns(np.concatenate([vector_cycles, scalar_cycles], axis=0)),
-        compiled.raw_flops_total(),
-        compiled.flop_equivalents_total(),
-        compiled.words_moved_total(),
-    )
+    """Cost one trace against every machine of a grid in one pass: a
+    one-trace :func:`cost_suite_trace_grid`."""
+    suite = SuiteColumns.from_traces([(trace.name, trace)])
+    (cost,) = cost_suite_trace_grid(suite, grid, memory_dilation)
+    return cost
 
 
 def cost_suite_trace_grid(
@@ -620,29 +539,29 @@ def cost_suite_trace_grid(
     """Cost a stacked suite against every machine in one fused pass.
 
     The whole suite × grid cross product costs in a single
-    ``(n_ops, n_machines)`` broadcasted pass — no per-trace Python loop
-    over kernel launches.  Per-(trace, machine) totals reduce each
-    trace's *segment* of the stacked matrices with :func:`fsum_columns`;
-    the exactly-rounded column sums make every returned
-    :class:`GridTraceCost` bit-identical to :func:`cost_trace_grid` on
-    that trace alone.
+    ``(n_ops, n_machines)`` broadcasted pass, bit-exact with
+    :meth:`Processor.execute` per machine: the per-op matrices evaluate
+    the same :mod:`repro.machine.costs` formulas, and per-(trace,
+    machine) totals reduce each trace's *segment* with
+    :func:`fsum_columns`, whose exactly-rounded column sums make a
+    trace cost the same alone or inside a stack.
     """
-    vector_cycles, scalar_cycles = grid._op_cycles_grid(suite, memory_dilation)
+    m = grid.n_machines
+    vector_cycles = (
+        grid.vector_op_cycles_grid(suite, memory_dilation) if suite.vector.n else np.zeros((0, m))
+    )
+    scalar_cycles = grid.scalar_op_cycles_grid(suite) if suite.scalar.n else np.zeros((0, m))
     _record_costing(grid, suite.n_traces)
     vo, so = suite.vector_offsets, suite.scalar_offsets
-    return [
-        GridTraceCost.from_cycles(
-            suite.trace_names[i],
-            grid,
-            fsum_columns(
-                np.concatenate(
-                    [vector_cycles[vo[i]:vo[i + 1]], scalar_cycles[so[i]:so[i + 1]]],
-                    axis=0,
-                )
-            ),
-            suite.raw_flops[i],
-            suite.flop_equivalents[i],
-            suite.words_moved[i],
+    cycles = np.array([
+        fsum_columns(
+            np.concatenate(
+                [vector_cycles[vo[i]:vo[i + 1]], scalar_cycles[so[i]:so[i + 1]]], axis=0
+            )
         )
         for i in range(suite.n_traces)
-    ]
+    ]).reshape(suite.n_traces, m)
+    return GridTraceCost.from_cycles(
+        suite.trace_names, grid, cycles,
+        suite.raw_flops, suite.flop_equivalents, suite.words_moved,
+    )

@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.machine import costs
 from repro.machine.memory import BankedMemory
 from repro.machine.vector_unit import VectorUnit
 
@@ -134,7 +135,7 @@ class VectorMachine:
         return self.vector_unit.startup_cycles
 
     def _mem_cycles(self, stride: int, indexed: bool, is_store: bool) -> float:
-        width = self.memory_model.path_words_per_cycle
+        width = costs.path_words_per_cycle(self.memory_model)
         issue = 2.0  # vector instructions issue in two clocks (Section 2.1)
         if indexed:
             data = self.vl * self.memory_model.gather_factor() / width

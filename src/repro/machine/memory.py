@@ -27,13 +27,14 @@ ensemble-test degradation (Table 6) at the ~2% level the paper reports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from repro.machine import costs
+from repro.machine.costs import SCALAR
 from repro.machine.operations import VectorOp
 from repro.perfmon.counters import declare_counters
 
-__all__ = ["BankedMemory"]
+__all__ = ["AccessFactors", "BankedMemory"]
 
 declare_counters(
     "memory",
@@ -47,6 +48,20 @@ declare_counters(
         "index_words",  # index-vector traffic (not counted as data)
     ),
 )
+
+
+class AccessFactors(dict):
+    """One memory's access factors, as :func:`repro.machine.costs.memory_cycles`
+    reads them: stride -> stride factor, each distinct stride computed once
+    (the per-op twin of the grid's ``np.unique`` pass), and ``gather``."""
+
+    def __init__(self, memory: "BankedMemory") -> None:
+        self.memory = memory
+        self.gather = costs.gather_factor(memory)
+
+    def __missing__(self, stride: int) -> float:
+        factor = self[stride] = costs.stride_factor(SCALAR, stride, self.memory)
+        return factor
 
 
 @dataclass
@@ -101,112 +116,77 @@ class BankedMemory:
         if self.contention_slope < 0 or self.contention_base_slope < 0:
             raise ValueError("contention slopes cannot be negative")
 
-    @property
-    def path_words_per_cycle(self) -> float:
-        """Best-case words per cycle on the load path alone (= store path)."""
-        return self.port_words_per_cycle / 2.0
-
-    # -- stride / gather dilation ------------------------------------------
+    # -- per-op faces of repro.machine.costs: checks here, formulas there ---
     def distinct_banks(self, stride: int) -> int:
-        """How many distinct banks a constant-stride pattern cycles through.
-
-        With ``B`` banks, stride ``s`` visits ``B / gcd(s, B)`` of them —
-        the interleaved-memory classic that makes power-of-two strides the
-        worst case (stride 512 on 1024 banks touches just 2 banks).
-        """
+        """How many distinct banks a constant-stride pattern cycles through."""
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
-        return self.banks // math.gcd(stride, self.banks)
+        return costs.distinct_banks(SCALAR, stride, self)
 
     def conflict_factor(self, stride: int) -> float:
-        """The pure bank-conflict part of the stride dilation (>= 1).
-
-        1.0 when the visited bank subset can still source the full path
-        width given the bank busy time; above 1.0 the banks themselves are
-        the bottleneck.  Strides 1 and 2 are conflict-free by hardware
-        guarantee.  The static analyzer's VEC002 rule reports this factor.
-        """
+        """The pure bank-conflict part of the stride dilation (>= 1); the
+        static analyzer's VEC002 rule reports it."""
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
-        if stride in (1, 2):
-            return 1.0
-        sustainable = self.distinct_banks(stride) / self.bank_busy_cycles
-        return max(1.0, self.path_words_per_cycle / sustainable)
+        return costs.conflict_factor(SCALAR, stride, self)
 
     def stride_factor(self, stride: int) -> float:
-        """Throughput dilation for a constant-stride access pattern.
-
-        Stride 1 and 2 are conflict-free by hardware guarantee.  Higher
-        strides pay the crossbar dilation (:attr:`stride_base_penalty`)
-        times the bank-conflict term (:meth:`conflict_factor`).
-        """
+        """Throughput dilation for a constant-stride access pattern."""
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
-        if stride in (1, 2):
-            return 1.0
-        return self.stride_base_penalty * self.conflict_factor(stride)
+        return costs.stride_factor(SCALAR, stride, self)
 
     def gather_factor(self) -> float:
-        """Throughput dilation for list-vector (randomly indexed) access.
+        """Throughput dilation for list-vector (randomly indexed) access."""
+        return costs.gather_factor(self)
 
-        Random bank targets collide with probability governed by the
-        banks-to-busy ratio; with 1024 banks and 2-cycle busy the expected
-        collision add-on is small, which is the paper's point about the
-        "very short bank cycle time".
-        """
-        occupancy = self.path_words_per_cycle * self.bank_busy_cycles / self.banks
-        return self.gather_base_penalty * (1.0 + occupancy)
-
-    # -- per-op timing ------------------------------------------------------
     def load_cycles(self, op: VectorOp) -> float:
         """Load-path busy cycles for one execution of the loop."""
-        width = self.path_words_per_cycle
-        cycles = op.loads_per_element * op.length * self.stride_factor(op.load_stride) / width
-        if op.gather_loads_per_element > 0:
-            cycles += op.gather_loads_per_element * op.length * self.gather_factor() / width
-        # Index vectors ride the load path at unit stride.
-        indexed = op.gather_loads_per_element + op.scatter_stores_per_element
-        if indexed > 0:
-            cycles += indexed * op.length * self.index_words_per_element / width
-        return cycles
+        load, _, _ = costs.memory_cycles(SCALAR, op, self, AccessFactors(self))
+        return load
 
     def store_cycles(self, op: VectorOp) -> float:
         """Store-path busy cycles for one execution of the loop."""
-        width = self.path_words_per_cycle
-        cycles = op.stores_per_element * op.length * self.stride_factor(op.store_stride) / width
-        if op.scatter_stores_per_element > 0:
-            cycles += op.scatter_stores_per_element * op.length * self.gather_factor() / width
-        return cycles
+        _, store, _ = costs.memory_cycles(SCALAR, op, self, AccessFactors(self))
+        return store
 
     def transfer_cycles(self, op: VectorOp) -> float:
         """Memory time for one loop execution; load/store paths overlap."""
-        return max(self.load_cycles(op), self.store_cycles(op))
+        _, _, transfer = costs.memory_cycles(SCALAR, op, self, AccessFactors(self))
+        return transfer
 
     def conflict_free_cycles(self, op: VectorOp) -> float:
         """Memory time for one loop execution were every access pattern
         conflict-free (stride/gather dilations forced to 1, index-vector
         traffic still paid) — the PROGINF bank-conflict baseline."""
-        width = self.path_words_per_cycle
+        width = costs.path_words_per_cycle(self)
         indexed = op.gather_loads_per_element + op.scatter_stores_per_element
         load = (op.loads_per_element + op.gather_loads_per_element) * op.length / width
         load += indexed * op.length * self.index_words_per_element / width
         store = (op.stores_per_element + op.scatter_stores_per_element) * op.length / width
         return max(load, store)
 
-    def perfmon_counters(self, op: VectorOp, dilation: float = 1.0) -> dict[str, float]:
+    def perfmon_counters(
+        self, op: VectorOp, dilation: float = 1.0, factors: AccessFactors | None = None
+    ) -> dict[str, float]:
         """Counter increments for all ``count`` executions of a loop.
 
         ``bank_conflict_cycles`` is the charged memory time in excess of
         the conflict-free ideal — covering stride/gather dilation *and*
         multi-CPU contention, the two things PROGINF's "bank conflict
-        time" lumped together.
+        time" lumped together.  ``factors`` passes in a caller's
+        :class:`AccessFactors` of this memory, so a trace's strides are
+        costed once.
         """
-        charged = self.transfer_cycles(op) * dilation * op.count
+        load, store, transfer = costs.memory_cycles(
+            SCALAR, op, self, AccessFactors(self) if factors is None else factors
+        )
+        charged = transfer * dilation * op.count
         ideal = self.conflict_free_cycles(op) * op.count
         indexed_per_elem = op.gather_loads_per_element + op.scatter_stores_per_element
         return {
-            "load_cycles": self.load_cycles(op) * dilation * op.count,
-            "store_cycles": self.store_cycles(op) * dilation * op.count,
+            "load_cycles": load * dilation * op.count,
+            "store_cycles": store * dilation * op.count,
             "transfer_cycles": charged,
             "bank_conflict_cycles": max(0.0, charged - ideal),
             "sequential_words": op.sequential_words * op.count,

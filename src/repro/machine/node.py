@@ -24,9 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.machine import costs
+from repro.machine.costs import SCALAR
 from repro.machine.operations import Trace
 from repro.machine.processor import ExecutionReport, Processor
-from repro.units import MEGA
 
 __all__ = ["Node", "ParallelReport", "block_imbalance"]
 
@@ -62,9 +63,7 @@ class ParallelReport:
 
     @property
     def mflops(self) -> float:
-        if self.seconds == 0:
-            return 0.0
-        return self.flop_equivalents / self.seconds / MEGA
+        return costs.mflops(SCALAR, self.flop_equivalents, self.seconds)
 
     @property
     def gflops(self) -> float:

@@ -8,8 +8,9 @@ Cray-equivalent), and sustained memory bandwidth — the three quantities
 the paper's tables and figures report.
 
 This per-op walk is the only single-machine costing path.  Costing many
-machines at once is :mod:`repro.machine.grid`'s job; its kernels are
-verified bit for bit against the per-op methods here.
+machines at once is :mod:`repro.machine.grid`'s job.  Both paths
+evaluate the same formulas (:mod:`repro.machine.costs`), here on Python
+numbers and there on machine columns.
 """
 
 from __future__ import annotations
@@ -17,15 +18,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.machine import costs
 from repro.machine.clock import Clock
-from repro.machine.memory import BankedMemory
+from repro.machine.costs import SCALAR
+from repro.machine.memory import AccessFactors, BankedMemory
 from repro.machine.operations import ScalarOp, Trace, VectorOp
 from repro.machine.scalar_unit import ScalarUnit
 from repro.machine.vector_unit import VectorUnit
 from repro.perfmon.collector import active as perfmon_active
 from repro.perfmon.collector import record as perfmon_record
 from repro.perfmon.counters import declare_counters
-from repro.units import MEGA
 
 __all__ = ["Processor", "ExecutionReport"]
 
@@ -42,6 +44,7 @@ declare_counters(
         "seconds",  # PROGINF "Real Time": cycles through this clock
     ),
 )
+
 
 @dataclass
 class ExecutionReport:
@@ -77,27 +80,17 @@ class ExecutionReport:
     @property
     def mflops(self) -> float:
         """Sustained Mflops with intrinsic flop-equivalents (table units)."""
-        if self.seconds == 0:
-            return 0.0
-        return self.flop_equivalents / self.seconds / MEGA
+        return costs.mflops(SCALAR, self.flop_equivalents, self.seconds)
 
     @property
     def raw_mflops(self) -> float:
         """Sustained Mflops counting only genuine adds/multiplies."""
-        if self.seconds == 0:
-            return 0.0
-        return self.raw_flops / self.seconds / MEGA
-
-    @property
-    def bytes_moved(self) -> float:
-        return self.words_moved * 8.0
+        return costs.mflops(SCALAR, self.raw_flops, self.seconds)
 
     @property
     def bandwidth_bytes_per_s(self) -> float:
         """Sustained data bandwidth (indices excluded, as in the paper)."""
-        if self.seconds == 0:
-            return 0.0
-        return self.bytes_moved / self.seconds
+        return costs.bandwidth_bytes_per_s(SCALAR, self.words_moved, self.seconds)
 
     def dominant_op(self) -> str:
         """Name of the op that consumed the most cycles (for reports).
@@ -151,25 +144,10 @@ class Processor:
             return self.scalar.cache.mem_words_per_cycle * 8.0 * self.clock.frequency_hz
         return self.memory.port_words_per_cycle * 8.0 * self.clock.frequency_hz
 
-    # -- per-op timing ------------------------------------------------------
-    def vector_op_cycles(self, op: VectorOp, memory_dilation: float = 1.0) -> float:
-        """Total cycles for all ``count`` executions of a vector loop."""
-        if memory_dilation < 1.0:
-            raise ValueError(f"memory dilation cannot shrink time, got {memory_dilation}")
-        if self.vector is not None and self.memory is not None:
-            arithmetic = self.vector.arithmetic_cycles(op)
-            memory = self.memory.transfer_cycles(op) * memory_dilation
-            per_execution = self.vector.overhead_cycles(op) + max(arithmetic, memory)
-        else:
-            per_execution = self.scalar.vector_op_cycles(op) * memory_dilation
-        return per_execution * op.count
-
-    def scalar_op_cycles(self, op: ScalarOp) -> float:
-        """Total cycles for all ``count`` executions of a scalar op."""
-        return self.scalar.scalar_op_cycles(op) * op.count
-
     # -- perfmon instrumentation --------------------------------------------
-    def _record_op(self, op: VectorOp | ScalarOp, cycles: float, dilation: float) -> None:
+    def _record_op(
+        self, op: VectorOp | ScalarOp, cycles: float, dilation: float, factors: AccessFactors | None
+    ) -> None:
         """Populate the active profile's counters for one executed op.
 
         Each component contributes its own increments; the processor
@@ -178,7 +156,7 @@ class Processor:
         if isinstance(op, VectorOp):
             if self.vector is not None and self.memory is not None:
                 perfmon_record("vector_unit", self.vector.perfmon_counters(op))
-                perfmon_record("memory", self.memory.perfmon_counters(op, dilation))
+                perfmon_record("memory", self.memory.perfmon_counters(op, dilation, factors))
             else:
                 scalar, cache = self.scalar.perfmon_vector_counters(op)
                 perfmon_record("scalar_unit", scalar)
@@ -214,18 +192,27 @@ class Processor:
         counters — this is the "counter emulation" layer of the
         observability subsystem.
         """
+        if memory_dilation < 1.0:
+            raise ValueError(f"memory dilation cannot shrink time, got {memory_dilation}")
+        vector, memory, scalar = self.vector, self.memory, self.scalar
+        factors = None if memory is None else AccessFactors(memory)
         op_names: list[str] = []
         op_cycles: list[float] = []
         profiling = perfmon_active() is not None
         if profiling:
             perfmon_record("processor", {"traces": 1.0})
         for op in trace:
-            if isinstance(op, VectorOp):
-                cycles = self.vector_op_cycles(op, memory_dilation)
+            # One composite cost formula per op (repro.machine.costs).
+            if not isinstance(op, VectorOp):
+                cycles = costs.scalar_op_cycles(op, scalar, op.count)
+            elif factors is None:
+                cycles = costs.scalar_loop_cycles(SCALAR, op, scalar, memory_dilation, op.count)
             else:
-                cycles = self.scalar_op_cycles(op)
+                cycles = costs.vector_op_cycles(
+                    SCALAR, op, vector, memory, factors, memory_dilation
+                )
             if profiling:
-                self._record_op(op, cycles, memory_dilation)
+                self._record_op(op, cycles, memory_dilation, factors)
             op_names.append(op.name)
             op_cycles.append(cycles)
         total_cycles = math.fsum(op_cycles)

@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.machine import costs
 from repro.machine.cache import CacheModel
+from repro.machine.costs import SCALAR
 from repro.machine.operations import INTRINSICS, ScalarOp, VectorOp
 from repro.perfmon.counters import declare_counters
 
@@ -79,48 +81,12 @@ class ScalarUnit:
             raise ValueError(f"scalar intrinsic cost table missing entries for {missing}")
 
     def scalar_op_cycles(self, op: ScalarOp) -> float:
-        """Cycles for one execution of a ScalarOp (excluding ``count``).
-
-        Issue, floating-point pipe and memory time are summed rather than
-        overlapped: scalar benchmark loops (HINT's subdivision scan, MOM's
-        diagnostics) are branchy and dependence-chained, which defeats the
-        overlap a superscalar core achieves on straight-line code.
-        """
-        issue = op.instructions / self.issue_width
-        fp = op.flops / self.flops_per_cycle
-        memory = op.memory_words * self.cache.hit_cycles_per_word
-        return issue + fp + memory
+        """Cycles for one execution of a ScalarOp (excluding ``count``)."""
+        return costs.scalar_op_cycles(op, self)
 
     def vector_op_cycles(self, op: VectorOp) -> float:
-        """Cycles for one execution of a VectorOp run as a scalar loop.
-
-        Used on cache-based machines.  Each element pays issue-limited
-        arithmetic, cache-modelled memory references, scalar intrinsic
-        calls, and a per-iteration loop overhead (partially hidden by
-        superscalar issue, hence charged at the issue rate).
-        """
-        words_per_elem = op.loads_per_element + op.stores_per_element
-        indexed_per_elem = op.gather_loads_per_element + op.scatter_stores_per_element
-        working_set = (
-            (op.loads_per_element * op.load_stride + op.stores_per_element * op.store_stride)
-            * op.length
-            * 8.0
-        )
-        stride = max(op.load_stride, op.store_stride)
-        mem_cycles = words_per_elem * self.cache.cycles_per_word(stride, working_set)
-        if indexed_per_elem > 0:
-            # Indexed access on a cache machine is usually a *small-table*
-            # lookup (radiation band tables, interpolation stencils): the
-            # table stays resident, so each reference costs a hit plus the
-            # index address computation — not a streaming miss.
-            mem_cycles += indexed_per_elem * 2.0 * self.cache.hit_cycles_per_word
-        flop_cycles = op.flops_per_element / self.flops_per_cycle
-        loop_cycles = self.loop_overhead_instructions / self.issue_width
-        intrinsic_cycles = sum(
-            calls * self.intrinsic_cycles_per_call[name] for name, calls in op.intrinsic_calls
-        )
-        per_element = max(flop_cycles, mem_cycles) + loop_cycles + intrinsic_cycles
-        return op.length * per_element
+        """Cycles for one execution of a VectorOp run as a scalar loop."""
+        return costs.scalar_loop_cycles(SCALAR, op, self)
 
     # -- perfmon instrumentation --------------------------------------------
     def perfmon_scalar_counters(
@@ -152,12 +118,7 @@ class ScalarUnit:
         elements = op.elements
         words_per_elem = op.loads_per_element + op.stores_per_element
         indexed_per_elem = op.gather_loads_per_element + op.scatter_stores_per_element
-        working_set = (
-            (op.loads_per_element * op.load_stride + op.stores_per_element * op.store_stride)
-            * op.length
-            * 8.0
-        )
-        stride = max(op.load_stride, op.store_stride)
+        stride, working_set = costs.scalar_loop_pattern(SCALAR, op)
         scalar = {
             "ex_cycles": self.vector_op_cycles(op) * op.count,
             "instructions": (op.flops_per_element + self.loop_overhead_instructions) * elements,

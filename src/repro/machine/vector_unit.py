@@ -24,10 +24,11 @@ The model reduces this to a handful of parameters:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.machine import costs
+from repro.machine.costs import SCALAR
 from repro.machine.operations import INTRINSICS, VectorOp
 from repro.perfmon.counters import declare_counters
 
@@ -108,27 +109,16 @@ class VectorUnit:
         """
         return max(1, round(self.startup_cycles * self.pipes))
 
+    # Per-op faces of repro.machine.costs.vector_unit_cycles.
     def arithmetic_cycles(self, op: VectorOp) -> float:
-        """Pipeline-busy cycles for the arithmetic of one loop execution.
-
-        With fewer than ``concurrent_sets`` flops per element only a subset
-        of the functional sets has work, so throughput drops accordingly —
-        a pure copy (0 flops) is limited by the load/store path instead and
-        contributes nothing here.
-        """
-        cycles = 0.0
-        if op.flops_per_element > 0:
-            sets_used = min(float(self.concurrent_sets), max(1.0, op.flops_per_element))
-            flops_per_cycle = self.pipes * sets_used
-            cycles += op.length * op.flops_per_element / flops_per_cycle
-        for name, calls in op.intrinsic_calls:
-            cycles += op.length * calls * self.intrinsic_cycles_per_element[name]
-        return cycles
+        """Pipeline-busy cycles for the arithmetic of one loop execution."""
+        _, _, arithmetic = costs.vector_unit_cycles(SCALAR, op, self)
+        return arithmetic
 
     def overhead_cycles(self, op: VectorOp) -> float:
         """Startup + strip-mining overhead for one loop execution."""
-        strips = max(1, math.ceil(op.length / self.register_length))
-        return self.startup_cycles + (strips - 1) * self.stripmine_cycles
+        _, overhead, _ = costs.vector_unit_cycles(SCALAR, op, self)
+        return overhead
 
     def perfmon_counters(self, op: VectorOp) -> dict[str, float]:
         """Counter increments for all ``count`` executions of a loop.
@@ -137,10 +127,10 @@ class VectorUnit:
         ``vector_elements / vector_instructions`` is the PROGINF
         average vector length (capped by :attr:`register_length`).
         """
-        strips = max(1, math.ceil(op.length / self.register_length))
+        strips, overhead, arithmetic = costs.vector_unit_cycles(SCALAR, op, self)
         return {
-            "busy_cycles": self.arithmetic_cycles(op) * op.count,
-            "startup_cycles": self.overhead_cycles(op) * op.count,
+            "busy_cycles": arithmetic * op.count,
+            "startup_cycles": overhead * op.count,
             "vector_instructions": strips * op.count,
             "vector_elements": op.elements,
             "flops": op.raw_flops,

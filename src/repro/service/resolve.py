@@ -58,7 +58,8 @@ def resolve_sweep(payload: dict) -> ParameterSweep:
     [...]}``) — the client lowers linear/log specs itself, so the
     request body fully determines the grid and therefore the chunk
     cache keys.  Validation (unknown parameters, empty axes, cache-only
-    anchors with vector axes) happens inside the sweep model.
+    anchors with vector axes, axis values no machine can take) happens
+    inside the sweep model, in time linear in the number of values.
     """
     unknown = [
         trace_id
@@ -81,7 +82,7 @@ def resolve_sweep(payload: dict) -> ParameterSweep:
         anchor=str(payload.get("anchor", "sx4")),
         axes=axes,
         include_presets=bool(payload.get("include_presets", False)),
-    )
+    ).check()
 
 
 #: Job kind -> resolver.  The dict literal is statically enumerated by

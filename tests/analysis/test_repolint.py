@@ -378,104 +378,6 @@ class TestPerfmonRegistration:
         assert lint_file(path, tmp_path) == []
 
 
-class TestGridSiblingContract:
-    """REPO009: every ``<name>_cycles_grid`` needs a per-op ``<name>_cycles``."""
-
-    ORPHAN = """
-    class Widget:
-        def transfer_cycles_grid(self, columns):
-            return columns
-    """
-
-    PAIRED = """
-    class Widget:
-        def transfer_cycles(self, op):
-            return 0.0
-
-        def transfer_cycles_grid(self, columns):
-            return columns
-    """
-
-    def test_orphan_grid_method_flagged(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/machine/widget.py", self.ORPHAN)
-        found = [d for d in lint_file(path, tmp_path) if d.rule_id == "REPO009"]
-        assert len(found) == 1
-        assert "transfer_cycles_grid" in found[0].message
-        assert "'transfer_cycles'" in found[0].message
-
-    def test_paired_grid_method_is_clean(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/machine/widget.py", self.PAIRED)
-        assert "REPO009" not in rule_ids(lint_file(path, tmp_path))
-
-    def test_batch_sibling_does_not_satisfy_the_rule(self, tmp_path):
-        # Only the per-op method is a reference the parity tests can use.
-        path = write_module(
-            tmp_path,
-            "src/repro/machine/widget.py",
-            """
-            class Widget:
-                def transfer_cycles_batch(self, columns):
-                    return columns
-
-                def transfer_cycles_grid(self, columns):
-                    return columns
-            """,
-        )
-        assert "REPO009" in rule_ids(lint_file(path, tmp_path))
-
-    def test_sibling_must_be_on_the_same_class(self, tmp_path):
-        path = write_module(
-            tmp_path,
-            "src/repro/machine/widget.py",
-            """
-            class Reference:
-                def transfer_cycles(self, op):
-                    return 0.0
-
-            class Widget:
-                def transfer_cycles_grid(self, columns):
-                    return columns
-            """,
-        )
-        assert "REPO009" in rule_ids(lint_file(path, tmp_path))
-
-    def test_private_grid_kernels_exempt(self, tmp_path):
-        path = write_module(
-            tmp_path,
-            "src/repro/machine/widget.py",
-            """
-            class Widget:
-                def _transfer_cycles_grid(self, columns):
-                    return columns
-            """,
-        )
-        assert "REPO009" not in rule_ids(lint_file(path, tmp_path))
-
-    def test_non_cycles_grid_methods_out_of_scope(self, tmp_path):
-        path = write_module(
-            tmp_path,
-            "src/repro/machine/widget.py",
-            """
-            class Widget:
-                def build_grid(self, columns):
-                    return columns
-            """,
-        )
-        assert "REPO009" not in rule_ids(lint_file(path, tmp_path))
-
-    def test_applies_across_src_not_just_machine(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/explore/widget.py", self.ORPHAN)
-        assert "REPO009" in rule_ids(lint_file(path, tmp_path))
-
-    def test_module_level_functions_out_of_scope(self, tmp_path):
-        path = write_module(
-            tmp_path,
-            "src/repro/explore/widget.py",
-            "def helper_cycles_grid(columns):\n    return columns\n",
-        )
-        assert "REPO009" not in rule_ids(lint_file(path, tmp_path))
-
-
 class TestFaultSiteRegistry:
     """REPO008: fault_point call sites name a registered site, literally."""
 

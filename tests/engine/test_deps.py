@@ -11,7 +11,6 @@ from repro.engine.deps import (
     EXPERIMENTS_MODULE,
     dependency_closure,
     experiment_digest,
-    machine_fingerprint,
     module_path,
     package_root,
     source_digest,
@@ -131,9 +130,12 @@ class TestDigests:
         assert set(digests) == set(EXPERIMENTS)
         assert len({d.key for d in digests.values()}) == len(digests)
 
-    def test_machine_fingerprint_stable(self):
-        assert machine_fingerprint() == machine_fingerprint()
-        assert len(machine_fingerprint()) == 64
+    def test_preset_clock_edit_changes_everything(self):
+        # The clock constants live in repro.machine.presets, so the source
+        # digest alone keys the machine configuration.
+        edit = {"repro.machine.presets": b"BENCHMARK_CLOCK_NS = 8.0\n"}
+        for exp_id, digest in suite_digests(sources=edit).items():
+            assert digest.key != experiment_digest(exp_id).key
 
     def test_source_digest_is_stable_hex(self):
         assert source_digest() == source_digest()

@@ -13,7 +13,7 @@ from repro.explore.sweep import (
     log_axis,
 )
 from repro.faults.degraded import Degradation, degrade_processor
-from repro.machine.grid import cost_trace_grid
+from repro.machine.grid import MachineGrid, cost_trace_grid
 from repro.machine.presets import CANONICAL_PRESET_IDS, preset_processor
 
 
@@ -167,3 +167,63 @@ class TestDegradationAxes:
         )
         with pytest.raises(ValueError, match="every bank offline"):
             sweep.build()
+
+
+class TestCheck:
+    """``check`` rejects exactly what ``build`` rejects, without the product."""
+
+    @pytest.mark.parametrize(
+        "anchor, axes",
+        [
+            ("sx4", (explicit_axis("vector.pipes", [8, 0]),)),
+            ("sparc20", (explicit_axis("cache.line_bytes", [32, 12]),)),
+            ("sparc20", (explicit_axis("cache.line_bytes", [2 * 1024 * 1024]),)),
+            ("sparc20", (explicit_axis("cache.size_bytes", [1 << 20, 64]),
+                         explicit_axis("cache.line_bytes", [128]))),
+            ("sx4", (explicit_axis("vector.pipes", [4, 16]),
+                     explicit_axis("degraded.offline_pipes", [6]))),
+            ("sx4", (explicit_axis("memory.banks", [8, 1024]),
+                     explicit_axis("degraded.offline_banks", [8]))),
+        ],
+    )
+    def test_rejects_what_build_rejects(self, anchor, axes):
+        sweep = ParameterSweep(anchor, axes)
+        with pytest.raises(ValueError):
+            sweep.build()
+        with pytest.raises(ValueError):
+            sweep.check()
+
+    @pytest.mark.parametrize(
+        "anchor, axes",
+        [
+            ("sx4", (explicit_axis("vector.pipes", [1, 16]),
+                     explicit_axis("clock.period_ns", [4.0, 12.0]))),
+            # Valid only together: more pipes than the anchor has go offline.
+            ("sx4", (explicit_axis("vector.pipes", [16, 32]),
+                     explicit_axis("degraded.offline_pipes", [12]))),
+            # Valid only together: a line longer than the anchor's cache.
+            ("sparc20", (explicit_axis("cache.size_bytes", [4 << 20]),
+                         explicit_axis("cache.line_bytes", [2 << 20]))),
+        ],
+    )
+    def test_accepts_what_build_accepts(self, anchor, axes):
+        sweep = ParameterSweep(anchor, axes)
+        sweep.build()
+        sweep.check()
+
+    def test_linear_in_the_number_of_values(self, monkeypatch):
+        rows = []
+        validate = MachineGrid.validate
+
+        def counting(grid):
+            rows.append(grid.n_machines)
+            validate(grid)
+
+        monkeypatch.setattr(MachineGrid, "validate", counting)
+        ParameterSweep(
+            "sx4",
+            (linear_axis("clock.period_ns", 4.0, 16.0, 30),
+             linear_axis("vector.pipes", 1, 16, 16),
+             log_axis("memory.banks", 64, 4096, 7)),
+        ).check()
+        assert rows == [30 + 16 + 7]

@@ -11,8 +11,15 @@ Mflops, and bandwidth.
 import numpy as np
 import pytest
 
-from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace
-from repro.machine.grid import MachineGrid, cost_trace_grid
+from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace, build_suite_columns
+from repro.machine.compiled import compile_trace
+from repro.machine.grid import (
+    _BLOCK_ELEMENTS,
+    MachineGrid,
+    cost_suite_trace_grid,
+    cost_trace_grid,
+)
+from repro.machine.operations import ScalarOp, Trace, VectorOp
 from repro.machine.presets import canonical_machines, cray_ymp, sx4_processor
 
 ALL_TRACE_IDS = tuple(TRACE_BUILDERS)
@@ -60,6 +67,18 @@ class TestStructure:
         broken.pipes[2] = -1.0
         with pytest.raises(ValueError, match="pipes"):
             broken.validate()
+
+    @pytest.mark.parametrize("line_bytes", [12, 2 * 1024 * 1024 + 8])
+    def test_validate_enforces_cache_line_constraints(self, grid, line_bytes):
+        # CacheModel needs whole 64-bit words per line and a line within
+        # the cache; the sparc20 row has a 1 MB cache.
+        broken = grid.subset(np.arange(6))
+        row = broken.names.index("SUN SPARC20")
+        broken.cache_line_bytes[row] = line_bytes
+        with pytest.raises(ValueError, match="cache_line_bytes"):
+            broken.validate()
+        with pytest.raises(ValueError):
+            broken.materialize(row)
 
     def test_from_processors_needs_machines(self):
         with pytest.raises(ValueError):
@@ -137,14 +156,26 @@ class TestExactParity:
             assert report.machine == direct.machine
 
     def test_per_op_methods_match_processor(self, grid, machines):
-        # The REPO009 reference: grid per-op == Processor per-op.
-        trace = build_registered_trace("ccm2")
+        # Each op's grid entry == the cycles Processor.execute charged it.
+        trace = Trace(build_registered_trace("ccm2").ops[:10], name="ccm2-head")
+        compiled = compile_trace(trace)
+        vector = grid.vector_op_cycles_grid(compiled)
+        scalar = grid.scalar_op_cycles_grid(compiled)
         for index, processor in enumerate(machines.values()):
-            for op in trace.ops[:10]:
-                if hasattr(op, "length"):
-                    assert grid.vector_op_cycles(op, index) == processor.vector_op_cycles(op)
-                else:
-                    assert grid.scalar_op_cycles(op, index) == processor.scalar_op_cycles(op)
+            rows = {VectorOp: iter(vector[:, index]), ScalarOp: iter(scalar[:, index])}
+            for op, cycles in zip(trace, processor.execute(trace).op_cycles):
+                assert next(rows[type(op)]) == cycles
+
+    def test_wide_grid_costs_in_row_blocks_bit_exactly(self, machines):
+        # Enough machines that the vector ops cost in several row blocks.
+        processors = list(machines.values()) * 12
+        suite = build_suite_columns(ALL_TRACE_IDS)
+        assert suite.vector.n * len(processors) > 2 * _BLOCK_ELEMENTS
+        costs = cost_suite_trace_grid(suite, MachineGrid.from_processors(processors))
+        for trace_id, cost in zip(ALL_TRACE_IDS, costs):
+            trace = build_registered_trace(trace_id)
+            for j, processor in enumerate(machines.values()):
+                assert cost.cycles[j] == cost.cycles[j + 6] == processor.execute(trace).cycles
 
     def test_memoised_costing_is_identical(self, grid):
         trace = build_registered_trace("hint")

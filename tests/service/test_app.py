@@ -57,6 +57,19 @@ class TestSubmission:
         assert response.status == 400
         assert app.spool.records() == []
 
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            {"anchor": "sparc20", "axes": [{"parameter": "cache.line_bytes", "values": [12]}]},
+            {"anchor": "sx4", "axes": [{"parameter": "vector.pipes", "values": [0]}]},
+        ],
+    )
+    def test_sweep_no_machine_can_take_is_400_not_a_job(self, app, sweep):
+        response, payload = submit(app, {"kind": "sweep", "sweep": sweep})
+        assert response.status == 400
+        assert "out of range" in payload["error"]
+        assert app.spool.records() == []
+
     def test_unknown_tenant_is_403(self, app):
         response, _ = submit(app, dict(SUITE_BODY, tenant="ghost"))
         assert response.status == 403
