@@ -8,8 +8,9 @@ package is the harness that treats it that way:
     the machine-preset configuration, and one source digest over every
     module of the ``repro`` package (computed once per process);
 ``store``
-    the content-addressed result store under ``.repro-cache/``, with
-    atomic writes and corrupt-entry tolerance;
+    the one content-addressed store under ``.repro-cache/`` (results,
+    explore sweep chunks, service journals), with atomic writes,
+    quarantine for corrupt entries and one gc;
 ``plan``
     the incremental planner — diff digests against the store, classify
     hit/miss/stale, schedule only what changed;

@@ -8,6 +8,9 @@ Usage::
     python -m repro.engine stats [--json]
     python -m repro.engine gc   [--dry-run]
 
+``stats`` and ``gc`` cover the whole store root: results, explore sweep
+chunks and service journals, in the root store and every tenant store.
+
 All commands accept ``--cache-dir`` (default ``.repro-cache``).
 ``run`` exits 0 only when every experiment produced a result and every
 shape check passed; its non-zero exits distinguish the failure kind::
@@ -26,16 +29,18 @@ invalid (exit 2, listing the valid ids).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from repro.engine.executor import EngineReport, JobFailure, run_engine
 from repro.engine.plan import plan_suite
-from repro.engine.store import ResultStore
+from repro.engine.store import DEFAULT_STORE_ROOT, ResultStore, collect_garbage, survey
 from repro.suite.experiments import EXPERIMENTS
 
 __all__ = [
     "main",
+    "gc_lines",
     "engine_report_to_dict",
     "validate_experiment_ids",
     "FAILURE_EXIT_CODES",
@@ -98,13 +103,17 @@ def _add_common(parser: argparse.ArgumentParser, with_ids: bool = True) -> None:
         parser.add_argument("ids", nargs="*", metavar="exp_id",
                             help="experiment ids (default: the whole suite)")
     parser.add_argument("--cache-dir", default=None, metavar="PATH",
-                        help="result store root (default: .repro-cache)")
+                        help="store root (default: .repro-cache)")
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable report")
 
 
+def _root(args: argparse.Namespace) -> str:
+    return args.cache_dir or DEFAULT_STORE_ROOT
+
+
 def _store(args: argparse.Namespace) -> ResultStore:
-    return ResultStore(args.cache_dir) if args.cache_dir else ResultStore()
+    return ResultStore(_root(args))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -151,49 +160,43 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.engine.deps import suite_digests
-
-    store = _store(args)
-    stats = store.stats(suite_digests())
+    stats = survey(_root(args))
     if args.json:
-        payload = {
-            "entries": stats.entries,
-            "total_bytes": stats.total_bytes,
-            "by_experiment": stats.by_experiment,
-            "live": stats.live,
-            "stale": stats.stale,
-            "corrupt": stats.corrupt,
-            "quarantined": stats.quarantined,
-        }
-        print(json.dumps(payload, indent=1, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(stats), indent=1, sort_keys=True))
     else:
-        for exp_id, count in sorted(stats.by_experiment.items()):
-            print(f"{exp_id:<10} {count} entr{'y' if count == 1 else 'ies'}")
+        for namespace, count in sorted(stats.by_namespace.items()):
+            print(f"{namespace:<24} {count} entr{'y' if count == 1 else 'ies'}")
         print(f"store: {stats.summary()}")
     return 0
 
 
-def _cmd_gc(args: argparse.Namespace) -> int:
-    from repro.engine.deps import suite_digests
+def gc_lines(root: str, dry_run: bool) -> list[str]:
+    """Run the one store gc over ``root`` and its tenant stores; report it."""
     from repro.units import fmt_bytes
 
-    store = _store(args)
-    removed = store.gc(suite_digests(), dry_run=args.dry_run)
-    verb = "would remove" if args.dry_run else "removed"
-    q_verb = "would quarantine" if args.dry_run else "quarantined"
-    for entry in removed:
-        action = q_verb if entry.corrupt else verb
-        print(f"{action} {entry.path} ({fmt_bytes(entry.size_bytes)})")
+    removed = collect_garbage(root, dry_run=dry_run)
+    verb = "would remove" if dry_run else "removed"
+    q_verb = "would quarantine" if dry_run else "quarantined"
+    lines = [
+        f"{q_verb if entry.corrupt else verb} {entry.path} ({fmt_bytes(entry.size_bytes)})"
+        for entry in removed
+    ]
     total = fmt_bytes(sum(entry.size_bytes for entry in removed))
     corrupt = sum(entry.corrupt for entry in removed)
     tail = f", {corrupt} corrupt -> quarantine" if corrupt else ""
-    print(
+    lines.append(
         f"gc: {verb} {len(removed)} entr{'y' if len(removed) == 1 else 'ies'}"
         f" ({total}){tail}"
     )
+    return lines
+
+
+def _cmd_gc(args: argparse.Namespace) -> int:
     from repro.service.spool import JobSpool
 
-    swept = JobSpool(store.root).sweep_expired(dry_run=args.dry_run)
+    print("\n".join(gc_lines(_root(args), args.dry_run)))
+    swept = JobSpool(_root(args)).sweep_expired(dry_run=args.dry_run)
+    verb = "would remove" if args.dry_run else "removed"
     print(
         f"gc: {verb} {len(swept)} expired service job "
         f"record{'' if len(swept) == 1 else 's'}"
@@ -223,10 +226,10 @@ def main(argv: list[str] | None = None) -> int:
     p_plan = sub.add_parser("plan", help="show hit/miss/stale without running")
     _add_common(p_plan)
 
-    p_stats = sub.add_parser("stats", help="result-store contents and liveness")
+    p_stats = sub.add_parser("stats", help="store contents per namespace and liveness")
     _add_common(p_stats, with_ids=False)
 
-    p_gc = sub.add_parser("gc", help="drop entries no current digest addresses")
+    p_gc = sub.add_parser("gc", help="drop cache entries no current digest addresses")
     _add_common(p_gc, with_ids=False)
     p_gc.add_argument("--dry-run", action="store_true",
                       help="report what would be removed, remove nothing")

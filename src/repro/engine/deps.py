@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 import hashlib
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -209,6 +209,8 @@ class ExperimentDigest:
 
     exp_id: str
     key: str  # sha256 hex over id + source digest
+    #: The source digest ``key`` was derived from, kept for the store's gc.
+    code: str | None = field(default=None, compare=False, repr=False)
 
 
 def experiment_digest(
@@ -224,10 +226,11 @@ def experiment_digest(
         raise KeyError(
             f"unknown experiment {exp_id!r}; available: {sorted(EXPERIMENTS)}"
         )
+    code = source_digest(sources)
     hasher = hashlib.sha256()
     hasher.update(f"exp_id={exp_id}\x00".encode())
-    hasher.update(f"code={source_digest(sources)}\x00".encode())
-    return ExperimentDigest(exp_id=exp_id, key=hasher.hexdigest())
+    hasher.update(f"code={code}\x00".encode())
+    return ExperimentDigest(exp_id=exp_id, key=hasher.hexdigest(), code=code)
 
 
 def suite_digests(

@@ -189,6 +189,7 @@ def cost_suite_grid(
         if store is None:
             chunks = [grid]
         else:
+            code = source_digest()  # what every chunk key folds in
             chunks = [
                 grid.subset(np.arange(start, min(start + chunk_machines, m)))
                 for start in range(0, m, chunk_machines)
@@ -217,7 +218,8 @@ def cost_suite_grid(
                     zip(ids, cost_suite_trace_grid(suite_columns, subgrid, memory_dilation))
                 )
                 if store is not None:
-                    store.put(CHUNK_NAMESPACE, key, _chunk_payload(costs, ids, memory_dilation))
+                    store.put(CHUNK_NAMESPACE, key, _chunk_payload(costs, ids, memory_dilation),
+                              code=code)
             else:
                 hits += 1
             chunk_costs.append(costs)

@@ -54,8 +54,9 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.engine.deps import suite_digests
 from repro.engine.executor import run_engine
-from repro.engine.store import DEFAULT_STORE_ROOT, ResultStore
+from repro.engine.store import DEFAULT_STORE_ROOT, ChunkStore, ResultStore
 from repro.explore.engine import cost_suite_grid
 from repro.faults.inject import FaultInjector, fault_point
 from repro.faults.plan import FaultPlan
@@ -462,28 +463,30 @@ class ServiceApp:
         )
 
     def result_by_digest(self, digest: str, tenant: str | None) -> Response:
-        """Direct content-addressed read: one store get, no job needed."""
+        """Direct content-addressed read: one store get, no job needed.
+
+        Served digests are the ones the current code addresses; a result
+        under an older source digest is stale (``gc`` drops it).
+        """
         name = tenant or DEFAULT_TENANT
         if self.tenants.get(name) is None:
             return _error(403, f"unknown tenant {name!r}")
-        store = ResultStore(tenant_store_root(self.root, name))
-        for entry in store.entries():
-            if entry.key != digest:
-                continue
-            cached = store.get(_entry_digest(entry.exp_id, entry.key))
-            if cached is None:
-                break  # corrupt: quarantined on read, report a miss
-            return json_response(
-                200,
-                {
-                    "schema": RESULT_SCHEMA,
-                    "digest": digest,
-                    "exp_id": cached.exp_id,
-                    "cache": CACHE_HIT,
-                    "experiment": experiment_to_dict(cached.experiment),
-                },
-            )
-        return _error(404, f"no result under digest {digest!r} for tenant {name!r}")
+        address = {d.key: d for d in suite_digests().values()}.get(digest)
+        cached = None
+        if address is not None:
+            cached = ResultStore(tenant_store_root(self.root, name)).get(address)
+        if cached is None:  # never stored, stale, or corrupt (quarantined on read)
+            return _error(404, f"no result under digest {digest!r} for tenant {name!r}")
+        return json_response(
+            200,
+            {
+                "schema": RESULT_SCHEMA,
+                "digest": digest,
+                "exp_id": cached.exp_id,
+                "cache": CACHE_HIT,
+                "experiment": experiment_to_dict(cached.experiment),
+            },
+        )
 
     def metrics(self) -> Response:
         return Response(
@@ -737,8 +740,6 @@ class ServiceApp:
         return result, meta
 
     def _execute_sweep(self, record: JobRecord, payload: dict) -> tuple[dict, dict]:
-        from repro.engine.store import ChunkStore
-
         sweep = JOB_RESOLVERS["sweep"](payload)
         grid = sweep.build()
         trace_ids = tuple(payload.get("traces") or ()) or None
@@ -920,12 +921,6 @@ def _parse_query(query: str) -> dict[str, str]:
         key, _, value = pair.partition("=")
         params[key] = value
     return params
-
-
-def _entry_digest(exp_id: str, key: str):
-    from repro.engine.deps import ExperimentDigest
-
-    return ExperimentDigest(exp_id=exp_id, key=key)
 
 
 def _progress_snapshot(prof: Profile) -> dict:

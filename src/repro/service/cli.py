@@ -142,8 +142,10 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_gc(args: argparse.Namespace) -> int:
+    from repro.engine.cli import gc_lines
     from repro.service.spool import JobSpool
 
+    print("\n".join(gc_lines(args.cache_dir, args.dry_run)))
     spool = JobSpool(args.cache_dir)
     swept = spool.sweep_expired(dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
@@ -206,9 +208,9 @@ def main(argv: list[str] | None = None) -> int:
     p_status.add_argument("--result", action="store_true",
                           help="print the raw result bytes instead of status")
 
-    p_gc = sub.add_parser("gc", help="sweep expired job records")
+    p_gc = sub.add_parser("gc", help="sweep expired job records and stale cache entries")
     p_gc.add_argument("--cache-dir", default=DEFAULT_STORE_ROOT, metavar="DIR",
-                      help="store root holding the job spool")
+                      help="store root holding the job spool and tenant stores")
     p_gc.add_argument("--dry-run", action="store_true",
                       help="report what would be removed without removing")
 

@@ -23,7 +23,9 @@ same results.
 Finished records carry ``expires_at`` (completion time plus the
 tenant's TTL); :meth:`JobSpool.sweep_expired` drops the expired ones —
 ``python -m repro.service gc`` and ``python -m repro.engine gc`` both
-run it.
+run it, next to the store's one gc
+(:func:`repro.engine.store.collect_garbage`), which never drops a
+journal.
 """
 
 from __future__ import annotations
@@ -170,12 +172,6 @@ class JobSpool:
             raise ValueError(f"invalid tenant name {tenant!r}")
         return f"{SPOOL_NAMESPACE_PREFIX}{tenant}"
 
-    @staticmethod
-    def _tenant_of(namespace: str) -> str | None:
-        if not namespace.startswith(SPOOL_NAMESPACE_PREFIX):
-            return None
-        return namespace[len(SPOOL_NAMESPACE_PREFIX):]
-
     # ------------------------------------------------------------ access
     def put(self, record: JobRecord) -> Path:
         """Journal one record atomically (create or state transition)."""
@@ -194,10 +190,8 @@ class JobSpool:
     def records(self, tenant: str | None = None) -> list[JobRecord]:
         """Every journaled record, oldest submission first."""
         found: list[JobRecord] = []
-        for entry in self.chunks.entries():
-            entry_tenant = self._tenant_of(entry.exp_id)
-            if entry_tenant is None:
-                continue
+        for entry in self.chunks.entries(SPOOL_NAMESPACE_PREFIX):
+            entry_tenant = entry.namespace[len(SPOOL_NAMESPACE_PREFIX):]
             if tenant is not None and entry_tenant != tenant:
                 continue
             record = self.get(entry_tenant, entry.key)
@@ -322,19 +316,13 @@ class JobSpool:
             if record.expires_at is None or record.expires_at > now:
                 continue
             if not dry_run:
-                path = self.chunks.entry_path(
-                    self.namespace(record.tenant), record.job_id
-                )
-                path.unlink(missing_ok=True)
+                self.chunks.delete(self.namespace(record.tenant), record.job_id)
             swept.append(record)
         return swept
 
     def clear(self) -> int:
         """Remove every job record (all tenants); returns how many."""
-        removed = 0
-        for entry in self.chunks.entries():
-            if self._tenant_of(entry.exp_id) is None:
-                continue
-            entry.path.unlink(missing_ok=True)
-            removed += 1
-        return removed
+        return sum(
+            self.chunks.delete(entry.namespace, entry.key)
+            for entry in self.chunks.entries(SPOOL_NAMESPACE_PREFIX)
+        )

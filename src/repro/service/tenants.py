@@ -24,6 +24,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.engine.store import TENANTS_DIR
+
 __all__ = [
     "TENANT_NAME_RE",
     "Tenant",
@@ -128,4 +130,4 @@ def tenant_store_root(root: str | Path, tenant: str) -> Path:
     """
     if not TENANT_NAME_RE.match(tenant):
         raise ValueError(f"invalid tenant name {tenant!r}")
-    return Path(root) / "tenants" / tenant
+    return Path(root) / TENANTS_DIR / tenant

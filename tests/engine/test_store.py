@@ -1,4 +1,4 @@
-"""Tests for the content-addressed result store."""
+"""Tests for the one content-addressed store and its result face."""
 
 import json
 import multiprocessing
@@ -15,8 +15,13 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def _digest(exp_id="table_x", key=None):
-    return ExperimentDigest(exp_id=exp_id, key=key or ("a" * 64))
+#: Source digests standing in for the current code and an older one.
+CODE = "c0de" * 16
+OLD = "01de" * 16
+
+
+def _digest(exp_id="table_x", key=None, code=CODE):
+    return ExperimentDigest(exp_id=exp_id, key=key or ("a" * 64), code=code)
 
 
 def _experiment(exp_id="table_x"):
@@ -26,6 +31,50 @@ def _experiment(exp_id="table_x"):
                      paper_values={"speed": 865.9, 7: "int-keyed"})
     exp.check("holds", True, detail="why")
     return exp
+
+
+class _ResultFace:
+    """One result entry, through the typed ResultStore face."""
+
+    name = "result"
+
+    def __init__(self, root):
+        self.store = ResultStore(root)
+        self.chunks = self.store.chunks
+
+    def put(self):
+        return self.store.put(_digest(), _experiment(), 0.0)
+
+    def get(self):
+        return self.store.get(_digest())
+
+
+class _ChunkFace:
+    """One explore chunk, straight through the ChunkStore."""
+
+    name = "chunk"
+    KEY = "b" * 64
+
+    def __init__(self, root):
+        self.store = self.chunks = ChunkStore(root)
+
+    def put(self):
+        return self.store.put("explore", self.KEY, {"v": 1})
+
+    def get(self):
+        return self.store.get("explore", self.KEY)
+
+
+def _faces(tmp_path):
+    """Both store faces, each over its own root: the integrity tests
+    below run once per face (the file discipline is shared)."""
+    return [face(tmp_path / face.name) for face in (_ResultFace, _ChunkFace)]
+
+
+def _rewrite(path, edit):
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
 
 
 class TestPutGet:
@@ -58,9 +107,9 @@ class TestPutGet:
         raise AssertionError("expected ValueError")
 
     def test_atomic_write_leaves_no_staging(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put(_digest(), _experiment(), 0.0)
-        assert list(store.tmp_dir.glob("*.tmp")) == []
+        for face in _faces(tmp_path):
+            face.put()
+            assert list(face.chunks.tmp_dir.glob("*.tmp")) == [], face.name
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -83,42 +132,45 @@ class TestPutGet:
         digest = _digest()
         store.put(digest, _experiment(), 0.0)
         payload = json.loads(store.entry_path(digest).read_text())
-        assert payload["checksum"] == payload_checksum(payload["experiment"])
+        assert payload["checksum"] == payload_checksum(payload["chunk"])
+        assert payload["code"] == CODE  # what gc compares with the current code
 
 
 class TestQuarantine:
     def test_unparseable_entry_is_quarantined_on_read(self, tmp_path):
-        store = ResultStore(tmp_path)
-        digest = _digest()
-        store.put(digest, _experiment(), 0.0)
-        name = store.entry_path(digest).name
-        store.entry_path(digest).write_text("{not json")
-        assert store.get(digest) is None
-        assert not store.entry_path(digest).exists()
-        assert (store.quarantine_dir / name).exists()
-        assert store.quarantine_log == [(name, "unparseable JSON")]
+        for face in _faces(tmp_path):
+            path = face.put()
+            path.write_text("{not json")
+            assert face.get() is None, face.name
+            assert not path.exists(), face.name
+            assert (face.chunks.quarantine_dir / path.name).exists(), face.name
+            assert face.store.quarantine_log == [(path.name, "unparseable JSON")]
 
     def test_checksum_mismatch_is_quarantined(self, tmp_path):
         """A tampered payload that still parses is caught by integrity."""
-        store = ResultStore(tmp_path)
-        digest = _digest()
-        store.put(digest, _experiment(), 0.0)
-        payload = json.loads(store.entry_path(digest).read_text())
-        payload["experiment"]["title"] = "tampered"
-        store.entry_path(digest).write_text(json.dumps(payload))
-        assert store.get(digest) is None
-        assert store.quarantine_log[0][1] == "checksum mismatch"
+        for face in _faces(tmp_path):
+            path = face.put()
+            _rewrite(path, lambda payload: payload["chunk"].update(v="tampered"))
+            assert face.get() is None, face.name
+            assert face.store.quarantine_log[0][1] == "checksum mismatch"
 
     def test_old_schema_is_a_miss_but_not_quarantined(self, tmp_path):
+        for face in _faces(tmp_path):
+            path = face.put()
+            _rewrite(path, lambda payload: payload.update(schema=0))
+            assert face.get() is None, face.name
+            assert path.exists(), face.name  # left for overwrite
+            assert face.store.quarantine_log == [], face.name
+
+    def test_undeserializable_result_is_quarantined(self, tmp_path):
+        # Valid envelope, checksum intact, but not an experiment payload:
+        # the typed face rejects it and quarantines through the store.
         store = ResultStore(tmp_path)
         digest = _digest()
-        store.put(digest, _experiment(), 0.0)
-        payload = json.loads(store.entry_path(digest).read_text())
-        payload["schema"] = 1
-        store.entry_path(digest).write_text(json.dumps(payload))
+        store.chunks.put(store.namespace(digest.exp_id), digest.key, {"experiment": {}})
         assert store.get(digest) is None
-        assert store.entry_path(digest).exists()  # left for overwrite
-        assert store.quarantine_log == []
+        assert store.quarantine_log[0][1] == "payload does not deserialize"
+        assert len(store.chunks.quarantined_entries()) == 1
 
     def test_stats_count_corrupt_and_quarantined(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -130,7 +182,7 @@ class TestQuarantine:
         store.entry_path(bad).write_text("{not json")
         store.entry_path(gone).write_text("{not json")
         store.get(gone)  # quarantined on the way out
-        stats = store.stats()
+        stats = store.chunks.stats(CODE)
         assert stats.entries == 2
         assert stats.corrupt == 1
         assert stats.quarantined == 1
@@ -142,10 +194,10 @@ class TestQuarantine:
         live = _digest("exp.a", "1" * 64)
         store.put(live, _experiment("exp.a"), 0.0)
         store.entry_path(live).write_text("{not json")
-        removed = store.gc({"exp.a": live})
+        removed = store.chunks.gc(CODE)
         assert [e.corrupt for e in removed] == [True]
         assert not store.entry_path(live).exists()
-        assert len(store.quarantined_entries()) == 1
+        assert len(store.chunks.quarantined_entries()) == 1
 
     def test_fault_injector_hook_corrupts_a_fresh_write(self, tmp_path):
         from repro.faults.inject import FaultAction, FaultInjector
@@ -158,7 +210,7 @@ class TestQuarantine:
         store.put(digest, _experiment(), 0.0)
         assert store.fault_injector.applied_counts() == {"store_entry": 1}
         assert store.get(digest) is None  # quarantined, not served
-        assert len(store.quarantined_entries()) == 1
+        assert len(store.chunks.quarantined_entries()) == 1
 
     def test_clear_empties_the_quarantine_too(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -166,16 +218,16 @@ class TestQuarantine:
         store.put(digest, _experiment(), 0.0)
         store.entry_path(digest).write_text("{not json")
         store.get(digest)
-        assert len(store.quarantined_entries()) == 1
-        store.clear()
-        assert store.quarantined_entries() == []
+        assert len(store.chunks.quarantined_entries()) == 1
+        store.chunks.clear()
+        assert store.chunks.quarantined_entries() == []
 
 
 class TestSurvey:
     def test_entries_and_stats(self, tmp_path):
         store = ResultStore(tmp_path)
         d1 = _digest("exp.a", "1" * 64)
-        d2 = _digest("exp.a", "2" * 64)
+        d2 = _digest("exp.a", "2" * 64, code=OLD)
         d3 = _digest("exp.b", "3" * 64)
         for d in (d1, d2, d3):
             store.put(d, _experiment(d.exp_id), 0.0)
@@ -183,42 +235,65 @@ class TestSurvey:
         assert len(entries) == 3
         # Dots in experiment ids survive the filename encoding.
         assert {e.exp_id for e in entries} == {"exp.a", "exp.b"}
-        stats = store.stats({"exp.a": d1, "exp.b": d3})
+        assert sorted(entries, key=lambda d: d.key) == [d1, d2, d3]
+        stats = store.chunks.stats(CODE)
         assert stats.entries == 3
-        assert stats.by_experiment == {"exp.a": 2, "exp.b": 1}
+        assert stats.by_namespace == {"result-exp.a": 2, "result-exp.b": 1}
         assert (stats.live, stats.stale) == (2, 1)
         assert stats.total_bytes > 0
 
     def test_empty_store(self, tmp_path):
-        stats = ResultStore(tmp_path / "nowhere").stats()
+        stats = ChunkStore(tmp_path / "nowhere").stats(CODE)
         assert stats.entries == 0
-        assert stats.live is None
+        assert (stats.live, stats.stale) == (0, 0)
+
+    def test_journals_are_neither_live_nor_stale(self, tmp_path):
+        store = ChunkStore(tmp_path)
+        store.put("svcjob-public", "d" * 64, {"state": "done"})
+        stats = store.stats(CODE)
+        assert (stats.entries, stats.live, stats.stale) == (1, 0, 0)
 
 
 class TestHygiene:
     def test_gc_drops_only_unaddressed(self, tmp_path):
         store = ResultStore(tmp_path)
         live = _digest("exp.a", "1" * 64)
-        dead = _digest("exp.a", "2" * 64)
+        dead = _digest("exp.a", "2" * 64, code=OLD)
         store.put(live, _experiment("exp.a"), 0.0)
         store.put(dead, _experiment("exp.a"), 0.0)
-        removed = store.gc({"exp.a": live})
+        removed = store.chunks.gc(CODE)
         assert [e.key for e in removed] == [dead.key]
         assert store.contains(live)
         assert not store.contains(dead)
 
     def test_gc_dry_run_removes_nothing(self, tmp_path):
         store = ResultStore(tmp_path)
-        dead = _digest("exp.a", "2" * 64)
+        dead = _digest("exp.a", "2" * 64, code=OLD)
         store.put(dead, _experiment("exp.a"), 0.0)
-        removed = store.gc({}, dry_run=True)
+        removed = store.chunks.gc(CODE, dry_run=True)
         assert len(removed) == 1
         assert store.contains(dead)
+
+    def test_gc_never_drops_journals_or_other_schemas(self, tmp_path):
+        store = ChunkStore(tmp_path)
+        journal = store.put("svcjob-public", "d" * 64, {"state": "done"})
+        foreign = store.put("explore", "e" * 64, {"v": 1}, code=OLD)
+        _rewrite(foreign, lambda payload: payload.update(schema=2))
+        stale = store.put("explore", "f" * 64, {"v": 2}, code=OLD)
+        assert [e.path for e in store.gc(CODE)] == [stale]
+        assert journal.exists() and foreign.exists() and not stale.exists()
+
+    def test_gc_clears_staging_leftovers(self, tmp_path):
+        store = ChunkStore(tmp_path)
+        store.put("explore", "e" * 64, {"v": 1}, code=CODE)
+        (store.tmp_dir / "explore.crashed.123.tmp").write_text("{")
+        store.gc(CODE)
+        assert list(store.tmp_dir.glob("*.tmp")) == []
 
     def test_clear(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(_digest(), _experiment(), 0.0)
-        assert store.clear() == 1
+        assert store.chunks.clear() == 1
         assert store.entries() == []
 
 
@@ -258,7 +333,7 @@ class TestChunkStore:
 
     def test_bad_addresses_rejected(self, tmp_path):
         store = ChunkStore(tmp_path / "cache")
-        for namespace, key in [("", self.KEY), ("a.b", self.KEY),
+        for namespace, key in [("", self.KEY),
                                ("a/b", self.KEY), ("explore", "short"),
                                ("explore", "Z" * 64)]:
             try:
@@ -267,48 +342,39 @@ class TestChunkStore:
                 continue
             raise AssertionError(f"{namespace!r}/{key!r} accepted")
 
-    def test_unparseable_json_quarantined(self, tmp_path):
-        store = ChunkStore(tmp_path / "cache")
-        path = store.put("explore", self.KEY, {"v": 1})
-        path.write_text("{ not json", encoding="utf-8")
-        assert store.get("explore", self.KEY) is None
-        assert not path.exists()
-        assert (store.quarantine_dir / path.name).exists()
-        assert store.quarantine_log[-1][1] == "unparseable JSON"
-
-    def test_checksum_mismatch_quarantined(self, tmp_path):
-        store = ChunkStore(tmp_path / "cache")
-        path = store.put("explore", self.KEY, {"v": 1})
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["chunk"]["v"] = 2  # tamper without re-checksumming
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert store.get("explore", self.KEY) is None
-        assert store.quarantine_log[-1][1] == "checksum mismatch"
-
-    def test_old_schema_is_a_plain_miss(self, tmp_path):
-        store = ChunkStore(tmp_path / "cache")
-        path = store.put("explore", self.KEY, {"v": 1})
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["schema"] = 0
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert store.get("explore", self.KEY) is None
-        assert path.exists()  # not quarantined: recompute overwrites
-
     def test_entries_and_clear(self, tmp_path):
         store = ChunkStore(tmp_path / "cache")
         store.put("explore", "c" * 64, {"v": 1})
         store.put("other", "d" * 64, {"v": 2})
         entries = store.entries()
-        assert [e.exp_id for e in entries] == ["explore", "other"]
+        assert [e.namespace for e in entries] == ["explore", "other"]
         assert store.clear() == 2
         assert store.entries() == []
 
-    def test_shares_root_layout_with_result_store(self, tmp_path):
-        root = tmp_path / "cache"
-        chunk_store = ChunkStore(root)
-        result_store = ResultStore(root)
-        assert chunk_store.quarantine_dir == result_store.quarantine_dir
-        assert chunk_store.tmp_dir == result_store.tmp_dir
+    def test_dotted_namespaces_and_prefix_listing(self, tmp_path):
+        # Result namespaces carry experiment ids, dots included.
+        store = ChunkStore(tmp_path / "cache")
+        store.put("result-sec4.7.3", "c" * 64, {"v": 1})
+        store.put("result-sec4.7", "c" * 64, {"v": 2})
+        store.put("explore", "d" * 64, {"v": 3})
+        assert store.get("result-sec4.7.3", "c" * 64) == {"v": 1}
+        assert {e.namespace for e in store.entries("result-")} == {
+            "result-sec4.7", "result-sec4.7.3",
+        }
+
+    def test_delete(self, tmp_path):
+        store = ChunkStore(tmp_path / "cache")
+        store.put("explore", self.KEY, {"v": 1})
+        assert store.delete("explore", self.KEY)
+        assert not store.delete("explore", self.KEY)
+        assert store.entries() == []
+
+    def test_code_is_optional_in_the_envelope(self, tmp_path):
+        store = ChunkStore(tmp_path / "cache")
+        journal = json.loads(store.put("svcjob-t", "c" * 64, {"v": 1}).read_text())
+        cache = json.loads(store.put("explore", "d" * 64, {"v": 1}, code=CODE).read_text())
+        assert "code" not in journal and journal["schema"] == 1
+        assert cache["code"] == CODE and cache["schema"] == 1
 
 
 def _racing_writer(root, namespace, key, rounds, barrier):
@@ -354,7 +420,7 @@ class TestChunkStoreConcurrency:
             assert writer.exitcode == 0
 
         entries = store.entries()
-        assert [(e.exp_id, e.key) for e in entries] == [("race", self.KEY)]
+        assert [(e.namespace, e.key) for e in entries] == [("race", self.KEY)]
         final = store.get("race", self.KEY)
         assert final is not None and final["value"] == 7
         assert store.quarantine_log == []

@@ -138,6 +138,20 @@ class TestCacheSemantics:
     def test_result_by_unknown_digest_is_404(self, app):
         assert app.handle("GET", f"/v1/results/{'0' * 64}", b"").status == 404
 
+    def test_result_under_older_source_is_404(self, app):
+        # A digest the current code no longer derives is stale: the read
+        # is addressed through the current suite digests, never a scan.
+        from repro.engine.deps import ExperimentDigest
+        from repro.engine.store import ResultStore
+        from repro.service.tenants import tenant_store_root
+        from repro.suite.experiments import EXPERIMENTS
+
+        stale = ExperimentDigest("table2", "5" * 64, code="01de" * 16)
+        store = ResultStore(tenant_store_root(app.root, "public"))
+        store.put(stale, EXPERIMENTS["table2"](), 0.0)
+        assert store.get(stale) is not None
+        assert app.handle("GET", f"/v1/results/{stale.key}", b"").status == 404
+
 
 class TestTenantIsolation:
     @pytest.fixture

@@ -52,6 +52,58 @@ class TestJournal:
         assert len(spool.records()) == 1
 
 
+#: A ``running`` journal exactly as released builds wrote it to disk
+#: (``chunks/svcjob-public.<job id>.json``, envelope schema 1, no
+#: ``code`` field).  Kept literal: a change to the envelope or the
+#: layout that would strand journaled jobs after an upgrade fails here.
+_JOB_ID = "5e" * 32
+_RELEASED_JOURNAL = """{
+ "checksum": "ba35d0f4c3cc60af7fd9a1e6798211398b5a1c20faccb56af56c2f09969dca81",
+ "chunk": {
+  "attempts": 1,
+  "deadline_s": 30.0,
+  "error": null,
+  "expires_at": null,
+  "finished_at": null,
+  "job_id": "%(job)s",
+  "meta": {},
+  "request": {
+   "kind": "suite",
+   "suite": {
+    "ids": [
+     "table2"
+    ]
+   }
+  },
+  "result": null,
+  "schema": 1,
+  "state": "running",
+  "submitted_at": 1700000000.5,
+  "tenant": "public"
+ },
+ "key": "%(job)s",
+ "namespace": "svcjob-public",
+ "schema": 1
+}""" % {"job": _JOB_ID}
+
+
+class TestJournalCompatibility:
+    def test_released_journal_is_recovered(self, tmp_path):
+        chunks = tmp_path / "chunks"
+        chunks.mkdir()
+        (chunks / f"svcjob-public.{_JOB_ID}.json").write_text(
+            _RELEASED_JOURNAL, encoding="utf-8"
+        )
+        spool = JobSpool(tmp_path)
+        [resumed] = spool.recover()
+        assert resumed.job_id == _JOB_ID
+        assert resumed.state == PENDING  # running demoted: the old process died
+        assert resumed.request == {"kind": "suite", "suite": {"ids": ["table2"]}}
+        assert (resumed.attempts, resumed.deadline_s) == (1, 30.0)
+        assert spool.get("public", _JOB_ID) == resumed
+        assert spool.chunks.quarantine_log == []
+
+
 class TestTransitions:
     def test_running_increments_attempts(self, tmp_path):
         spool = JobSpool(tmp_path)
