@@ -40,7 +40,7 @@ from repro.analysis.traces import (
     analyze_benchmark,
     analyze_trace,
     build_registered_trace,
-    experiment_summaries,
+    trace_summary_line,
 )
 
 __all__ = [
@@ -52,7 +52,7 @@ __all__ = [
     "analyze_trace",
     "analyze_benchmark",
     "build_registered_trace",
-    "experiment_summaries",
+    "trace_summary_line",
     "TRACE_BUILDERS",
     "EXPERIMENT_TRACE_IDS",
 ]

@@ -20,6 +20,7 @@ summaries to its reports.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
@@ -54,7 +55,7 @@ __all__ = [
     "build_registered_trace",
     "build_suite_columns",
     "analyze_benchmark",
-    "experiment_summaries",
+    "trace_summary_line",
 ]
 
 
@@ -242,16 +243,12 @@ def analyze_benchmark(
     return analyze_trace(build_registered_trace(trace_id), processor)
 
 
-def experiment_summaries(
-    exp_id: str, processor: Processor | None = None
-) -> list[tuple[str, DiagnosticReport]]:
-    """(benchmark id, report) pairs for one suite experiment.
+@lru_cache(maxsize=None)
+def trace_summary_line(trace_id: str) -> str:
+    """The one-line analysis of a registered trace on the default SX-4.
 
-    Empty for experiments with no registered traces; the suite runner
-    renders each pair as one summary line.
+    Memoised per process: the suite runner renders a line per trace
+    behind each experiment, and experiments share traces (CCM2 backs
+    five of them, LINPACK and RADABS two each).
     """
-    processor = processor or sx4_processor()
-    return [
-        (trace_id, analyze_benchmark(trace_id, processor))
-        for trace_id in EXPERIMENT_TRACE_IDS.get(exp_id, ())
-    ]
+    return analyze_benchmark(trace_id).summary_line()

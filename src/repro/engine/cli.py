@@ -36,7 +36,7 @@ import sys
 from repro.engine.executor import EngineReport, JobFailure, run_engine
 from repro.engine.plan import plan_suite
 from repro.engine.store import DEFAULT_STORE_ROOT, ResultStore, collect_garbage, survey
-from repro.suite.experiments import EXPERIMENTS
+from repro.suite import EXPERIMENT_IDS, unknown_experiment_ids
 
 __all__ = [
     "main",
@@ -53,12 +53,12 @@ FAILURE_EXIT_CODES = {"error": 3, "crash": 4, "timeout": 5}
 
 def validate_experiment_ids(exp_ids: list[str]) -> str | None:
     """An error message naming the valid ids, or None when all are known."""
-    unknown = [exp_id for exp_id in exp_ids if exp_id not in EXPERIMENTS]
+    unknown = unknown_experiment_ids(exp_ids)
     if not unknown:
         return None
     return (
         f"unknown experiment id(s): {', '.join(sorted(unknown))}\n"
-        f"valid ids: {', '.join(EXPERIMENTS)}"
+        f"valid ids: {', '.join(EXPERIMENT_IDS)}"
     )
 
 

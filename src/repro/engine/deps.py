@@ -32,6 +32,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import repro
+from repro.suite import EXPERIMENT_IDS, unknown_experiment_ids
 
 __all__ = [
     "DIGEST_SCHEMA",
@@ -220,11 +221,9 @@ def experiment_digest(
 
     ``sources`` flows through to :func:`source_digest`.
     """
-    from repro.suite.experiments import EXPERIMENTS
-
-    if exp_id not in EXPERIMENTS:
+    if unknown_experiment_ids([exp_id]):
         raise KeyError(
-            f"unknown experiment {exp_id!r}; available: {sorted(EXPERIMENTS)}"
+            f"unknown experiment {exp_id!r}; available: {sorted(EXPERIMENT_IDS)}"
         )
     code = source_digest(sources)
     hasher = hashlib.sha256()
@@ -238,7 +237,5 @@ def suite_digests(
     sources: Mapping[str, bytes] | None = None,
 ) -> dict[str, ExperimentDigest]:
     """Digests for the requested experiments (default: all, paper order)."""
-    from repro.suite.experiments import EXPERIMENTS
-
-    ids = list(EXPERIMENTS) if exp_ids is None else list(exp_ids)
+    ids = list(EXPERIMENT_IDS) if exp_ids is None else list(exp_ids)
     return {exp_id: experiment_digest(exp_id, sources) for exp_id in ids}

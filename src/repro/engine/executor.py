@@ -34,13 +34,10 @@ deterministic, and this asserts it.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import time
 import traceback
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 
 from repro.engine.deps import ExperimentDigest
@@ -203,6 +200,8 @@ def _from_payload(payload: dict) -> JobResult | JobFailure:
 
 def _pool_context():
     """Fork where available: workers inherit the parent's module state."""
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:
@@ -281,6 +280,10 @@ def execute_jobs(
                 )
             results.append(outcome)
         return results
+
+    # Only the pool path pays for importing the pool.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import TimeoutError as FutureTimeoutError
 
     results = []
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(ids)), mp_context=_pool_context())

@@ -7,10 +7,12 @@ Layout, under the store root (default ``.repro-cache/``)::
     tmp/                                   staging for atomic writes
     tenants/<tenant>/                      a whole store per service tenant
 
-Namespaces are ``result-<exp_id>`` (:class:`ResultStore`), ``explore``
-(grid-sweep chunks) and ``svcjob-<tenant>``/``svclifecycle`` (service
-journals).  They may contain dots (``result-sec4.7.3``): the 64-hex key
-splits off with ``rpartition(".")``.
+Namespaces are ``result-<exp_id>`` (:class:`ResultStore`),
+``vectorization-<exp_id>`` (the suite runner's rendered diagnostics, at
+the result's key), ``explore`` (grid-sweep chunks) and
+``svcjob-<tenant>``/``svclifecycle`` (service journals).  They may
+contain dots (``result-sec4.7.3``): the 64-hex key splits off with
+``rpartition(".")``.
 
 :class:`ChunkStore` is the only class that touches store files.  Entries
 are written to ``tmp/`` and moved into place with :func:`os.replace`, so
@@ -20,10 +22,15 @@ JSON, missing fields, checksum mismatch — is **quarantined** (moved into
 ``quarantine/``, keeping the evidence) and reads as a miss.  Entries of
 another envelope schema are plain misses, not corruption.
 
-Cache entries (results and sweep chunks) also record ``code``, the
-source digest their key was derived from, so the one gc rule is local
-to each entry: :func:`collect_garbage` drops a cache entry whose
-``code`` is not the current :func:`~repro.engine.deps.source_digest`.
+Envelopes are written as compact JSON in insertion order, so a chunk
+reads back with the key order it was written with; the checksum is over
+the sorted canonical form, so it does not depend on that order.
+
+Cache entries (results, diagnostics and sweep chunks) also record
+``code``, the source digest their key was derived from, so the one gc
+rule is local to each entry: :func:`collect_garbage` drops a cache
+entry whose ``code`` is not the current
+:func:`~repro.engine.deps.source_digest`.
 Journals carry no ``code``; they expire through
 :meth:`repro.service.spool.JobSpool.sweep_expired`.
 
@@ -215,16 +222,17 @@ class ChunkStore:
     def contains(self, namespace: str, key: str) -> bool:
         return self.entry_path(namespace, key).is_file()
 
-    def get(self, namespace: str, key: str) -> dict | None:
+    def get(self, namespace: str, key: str, quarantine: bool = True) -> dict | None:
         """The chunk payload for a key, or None (missing or corrupt).
 
         A corrupt entry is quarantined on the way out: it reads as a
         miss (the caller recomputes), but the evidence moves to
-        ``quarantine/`` instead of being silently overwritten.
+        ``quarantine/`` instead of being silently overwritten.  With
+        ``quarantine=False`` (a dry run) it reads as a miss and stays.
         """
         path = self.entry_path(namespace, key)
         envelope, problem = self._read(path)
-        if problem is not None:
+        if problem is not None and quarantine:
             self.quarantine(path, problem)
         return None if envelope is None else envelope["chunk"]
 
@@ -247,7 +255,10 @@ class ChunkStore:
         if code is not None:
             envelope["code"] = code
         staging = self.tmp_dir / f"{namespace}.{key}.{os.getpid()}.tmp"
-        staging.write_text(json.dumps(envelope, indent=1, sort_keys=True), encoding="utf-8")
+        # Compact and in insertion order: the checksum is over the sorted
+        # canonical form, but readers see the chunk's own key order (a
+        # result's series order is its legend order).
+        staging.write_text(json.dumps(envelope, separators=(",", ":")), encoding="utf-8")
         os.replace(staging, final)
         return final
 

@@ -178,8 +178,8 @@ class JobSpool:
         payload = record.to_dict()
         return self.chunks.put(self.namespace(record.tenant), record.job_id, payload)
 
-    def get(self, tenant: str, job_id: str) -> JobRecord | None:
-        payload = self.chunks.get(self.namespace(tenant), job_id)
+    def get(self, tenant: str, job_id: str, quarantine: bool = True) -> JobRecord | None:
+        payload = self.chunks.get(self.namespace(tenant), job_id, quarantine=quarantine)
         if payload is None:
             return None
         try:
@@ -187,14 +187,19 @@ class JobSpool:
         except (KeyError, TypeError, ValueError):
             return None  # pre-schema record: treat as absent, never crash
 
-    def records(self, tenant: str | None = None) -> list[JobRecord]:
-        """Every journaled record, oldest submission first."""
+    def records(
+        self, tenant: str | None = None, quarantine: bool = True
+    ) -> list[JobRecord]:
+        """Every journaled record, oldest submission first.
+
+        ``quarantine=False`` leaves corrupt journals where they are.
+        """
         found: list[JobRecord] = []
         for entry in self.chunks.entries(SPOOL_NAMESPACE_PREFIX):
             entry_tenant = entry.namespace[len(SPOOL_NAMESPACE_PREFIX):]
             if tenant is not None and entry_tenant != tenant:
                 continue
-            record = self.get(entry_tenant, entry.key)
+            record = self.get(entry_tenant, entry.key, quarantine=quarantine)
             if record is not None:
                 found.append(record)
         found.sort(key=lambda r: (r.submitted_at, r.job_id))
@@ -306,11 +311,12 @@ class JobSpool:
         """Drop finished records whose TTL has lapsed; returns them.
 
         Unfinished jobs are never swept — a queue that garbage-collects
-        its own backlog is not a queue.
+        its own backlog is not a queue.  A dry run moves no file, not
+        even a corrupt journal into quarantine.
         """
         now = time.time() if now is None else now
         swept: list[JobRecord] = []
-        for record in self.records():
+        for record in self.records(quarantine=not dry_run):
             if not record.finished:
                 continue
             if record.expires_at is None or record.expires_at > now:

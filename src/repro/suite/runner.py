@@ -6,6 +6,9 @@ the command-line face of the reproduction.  ``--json`` emits the same
 report machine-readably (for CI); ``--engine`` routes execution through
 :mod:`repro.engine` — parallel fan-out (``--jobs N``) and the
 content-addressed result cache (disable with ``--no-cache``).
+A warm ``--engine`` run does no modelling work: results and their
+``vectorization:`` lines replay from the store, and no builder, kernel,
+analyzer or numpy is imported.
 ``--fault-plan PATH`` replays a saved :mod:`repro.faults` plan against
 the run (implying ``--engine``): the planned faults fire at the
 engine's hook sites and the retry policy absorbs them — the command
@@ -30,16 +33,19 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.traces import experiment_summaries
 from repro.perfmon.collector import profile as perfmon_profile
 from repro.perfmon.collector import span as perfmon_span
-from repro.suite.experiments import EXPERIMENTS
+from repro.suite import EXPERIMENT_IDS, unknown_experiment_ids
 from repro.suite.figures import render_ascii_chart
 from repro.suite.results import Experiment
 from repro.suite.tables import render_table
 
-__all__ = ["SuiteReport", "run_suite", "render_experiment",
+__all__ = ["SuiteReport", "run_suite", "render_experiment", "vectorization_lines",
            "suite_report_to_dict", "main"]
+
+#: Store namespace prefix of the cached ``vectorization:`` lines, one
+#: namespace per experiment, keyed like its result.
+VECTORIZATION_NAMESPACE_PREFIX = "vectorization-"
 
 
 @dataclass
@@ -53,6 +59,10 @@ class SuiteReport:
     #: ``timings`` under the engine, where a cache hit replays an old
     #: build time but costs only a store read here.
     host_timings: dict[str, float] = field(default_factory=dict)
+    #: ``vectorization:`` lines already at hand, keyed by exp_id (the
+    #: engine replays them from its store); absent ids are analyzed
+    #: when rendered.
+    vectorization: dict[str, list[str]] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -76,7 +86,9 @@ class SuiteReport:
 
 def run_suite(exp_ids: list[str] | None = None) -> SuiteReport:
     """Run the requested experiments (default: all, in paper order)."""
-    ids = list(EXPERIMENTS) if not exp_ids else exp_ids
+    from repro.suite.experiments import EXPERIMENTS
+
+    ids = list(EXPERIMENT_IDS) if not exp_ids else exp_ids
     report = SuiteReport()
     for exp_id in ids:
         if exp_id not in EXPERIMENTS:
@@ -92,12 +104,28 @@ def run_suite(exp_ids: list[str] | None = None) -> SuiteReport:
     return report
 
 
-def render_experiment(exp: Experiment, diagnostics: bool = True) -> str:
+def vectorization_lines(exp_id: str) -> list[str]:
+    """What the static analyzer says about each trace behind an experiment.
+
+    The coding styles that *produced* the experiment's numbers (Section
+    4.4), one line per trace.  Each trace's line is memoised per process
+    (see :func:`repro.analysis.traces.trace_summary_line`).
+    """
+    from repro.analysis.traces import EXPERIMENT_TRACE_IDS, trace_summary_line
+
+    return [
+        f"vectorization: {trace_id}: {trace_summary_line(trace_id)}"
+        for trace_id in EXPERIMENT_TRACE_IDS.get(exp_id, ())
+    ]
+
+
+def render_experiment(
+    exp: Experiment, diagnostics: bool = True, vectorization: list[str] | None = None
+) -> str:
     """Full text rendering: table, chart, notes, checks, diagnostics.
 
-    The trailing ``vectorization:`` lines summarise what the static
-    analyzer says about each trace behind the experiment — the coding
-    styles that *produced* the numbers above them (Section 4.4).
+    The trailing diagnostics are ``vectorization``, or, when that is
+    None, :func:`vectorization_lines` of the experiment.
     """
     parts = [f"=== {exp.exp_id}: {exp.title} ==="]
     if exp.rows:
@@ -108,8 +136,9 @@ def render_experiment(exp: Experiment, diagnostics: bool = True) -> str:
         parts.append(f"note: {exp.notes}")
     parts.extend(str(check) for check in exp.checks)
     if diagnostics:
-        for trace_id, report in experiment_summaries(exp.exp_id):
-            parts.append(f"vectorization: {trace_id}: {report.summary_line()}")
+        parts.extend(
+            vectorization_lines(exp.exp_id) if vectorization is None else vectorization
+        )
     return "\n".join(parts)
 
 
@@ -147,9 +176,33 @@ def suite_report_to_dict(report: SuiteReport) -> dict:
     }
 
 
+def _stored_vectorization(chunks, engine_report) -> dict[str, list[str]]:
+    """Each result's ``vectorization:`` lines, through the store.
+
+    The lines derive from source alone, so they are kept under
+    ``vectorization-<exp_id>`` at the experiment's digest key: the first
+    text render writes them, every later one replays them without
+    building a trace.  ``code`` lets the one gc drop them with the
+    result they belong to.
+    """
+    rendered = {result.exp_id for result in engine_report.successes}
+    lines: dict[str, list[str]] = {}
+    for entry in engine_report.plan.entries:
+        if entry.exp_id not in rendered:
+            continue
+        namespace = f"{VECTORIZATION_NAMESPACE_PREFIX}{entry.exp_id}"
+        chunk = chunks.get(namespace, entry.digest.key)
+        if chunk is None or not isinstance(chunk.get("lines"), list):
+            chunk = {"lines": vectorization_lines(entry.exp_id)}
+            chunks.put(namespace, entry.digest.key, chunk, code=entry.digest.code)
+        lines[entry.exp_id] = chunk["lines"]
+    return lines
+
+
 def _run_through_engine(args: argparse.Namespace) -> tuple[SuiteReport, int]:
     """Execute via repro.engine; returns (report, n_failed_jobs)."""
-    from repro.engine import run_engine
+    from repro.engine.executor import run_engine
+    from repro.engine.store import ResultStore
 
     retry = injector = None
     if args.fault_plan:
@@ -160,10 +213,12 @@ def _run_through_engine(args: argparse.Namespace) -> tuple[SuiteReport, int]:
         injector = plan.injector()
         retry = chaos_retry_policy()
         print(plan.summary(), file=sys.stderr)
+    store = ResultStore()
     engine_report = run_engine(
         args.ids or None,
         jobs=args.jobs,
         use_cache=not args.no_cache,
+        store=store,
         retry=retry,
         injector=injector,
     )
@@ -176,6 +231,8 @@ def _run_through_engine(args: argparse.Namespace) -> tuple[SuiteReport, int]:
             if r.host_elapsed_s is not None
         },
     )
+    if not (args.json or args.no_cache):
+        report.vectorization = _stored_vectorization(store.chunks, engine_report)
     for failure in engine_report.failures:
         print(failure.summary_line(), file=sys.stderr)
     if not args.json:
@@ -214,11 +271,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.fault_plan:
         args.engine = True
 
-    unknown = [exp_id for exp_id in args.ids if exp_id not in EXPERIMENTS]
+    unknown = unknown_experiment_ids(args.ids)
     if unknown:
         print(
             f"error: unknown experiment id(s): {', '.join(sorted(unknown))}\n"
-            f"valid ids: {', '.join(EXPERIMENTS)}",
+            f"valid ids: {', '.join(EXPERIMENT_IDS)}",
             file=sys.stderr,
         )
         return 2
@@ -258,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:
         for exp in report.experiments:
-            print(render_experiment(exp))
+            print(render_experiment(exp, vectorization=report.vectorization.get(exp.exp_id)))
             print()
         print(report.summary())
         if perfmon_text is not None:

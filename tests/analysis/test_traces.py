@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import traces
 from repro.analysis.traces import (
     EXPERIMENT_TRACE_IDS,
     MAX_FINDINGS_PER_RULE,
@@ -9,11 +10,11 @@ from repro.analysis.traces import (
     analyze_benchmark,
     analyze_trace,
     build_registered_trace,
-    experiment_summaries,
 )
 from repro.machine.operations import Trace, VectorOp
 from repro.machine.presets import sun_sparc20, sx4_processor
 from repro.suite.experiments import EXPERIMENTS
+from repro.suite.runner import vectorization_lines
 
 
 @pytest.fixture(scope="module")
@@ -91,12 +92,21 @@ class TestSuiteIntegration:
         for exp_id, trace_ids in EXPERIMENT_TRACE_IDS.items():
             assert set(trace_ids) <= set(TRACE_BUILDERS), exp_id
 
-    def test_sec44_summarises_both_coding_styles(self, sx4):
-        pairs = experiment_summaries("sec4.4", sx4)
-        assert [trace_id for trace_id, _ in pairs] == ["radabs-scalar", "radabs"]
-        scalar_report, vector_report = pairs[0][1], pairs[1][1]
-        assert not scalar_report.clean
-        assert vector_report.clean
+    def test_sec44_summarises_both_coding_styles(self):
+        scalar, vector = vectorization_lines("sec4.4")
+        assert scalar.startswith("vectorization: radabs-scalar: VEC")
+        assert vector == "vectorization: radabs: clean"
 
-    def test_traceless_experiment_has_no_summaries(self, sx4):
-        assert experiment_summaries("sec2", sx4) == []
+    def test_traceless_experiment_has_no_summaries(self):
+        assert vectorization_lines("sec2") == []
+
+    def test_each_trace_is_analyzed_once_per_process(self, monkeypatch):
+        built = []
+        real = traces.build_registered_trace
+        monkeypatch.setattr(
+            traces, "build_registered_trace", lambda t: built.append(t) or real(t)
+        )
+        traces.trace_summary_line.cache_clear()
+        for exp_id in ("sec3", "table2", "table4", "figure8"):
+            vectorization_lines(exp_id)
+        assert sorted(built) == ["ccm2", "linpack", "nas-ep", "stream"]

@@ -84,3 +84,35 @@ def test_gc_quarantines_corrupt_journals_and_results_alike(root, capsys):
     assert engine_main(["gc", "--cache-dir", str(root)]) == 0
     stats = _stats(capsys, root)
     assert (stats["corrupt"], stats["quarantined"], stats["stale"]) == (0, 2, 0)
+
+
+@pytest.mark.parametrize("cli", ["engine", "service"])
+def test_gc_dry_run_moves_no_file(root, capsys, cli):
+    tenant = ResultStore(tenant_store_root(root, "alice"))
+    tenant.entry_path(suite_digests(["table2"])["table2"]).write_text("{torn")
+    JobSpool(root).chunks.entry_path("svcjob-alice", "a" * 64).write_text("{torn")
+    main = engine_main if cli == "engine" else service_main
+    assert main(["gc", "--cache-dir", str(root), "--dry-run"]) == 0
+    assert "2 corrupt -> quarantine" in capsys.readouterr().out
+    stats = _stats(capsys, root)
+    assert (stats["corrupt"], stats["quarantined"], stats["stale"]) == (2, 0, 4)
+
+
+def test_gc_collects_vectorization_lines_after_a_source_edit(tmp_path, monkeypatch, capsys):
+    from repro.engine import deps
+    from repro.suite.runner import main as suite_main
+
+    monkeypatch.chdir(tmp_path)
+    assert suite_main(["--engine", "table2"]) == 0
+    before = _stats(capsys, tmp_path / ".repro-cache")
+    assert before["by_namespace"] == {"result-table2": 1, "vectorization-table2": 1}
+    assert (before["live"], before["stale"]) == (2, 0)
+
+    edited = tuple(
+        (name, b"\0" * 32 if name == "repro.kernels.rfft" else digest)
+        for name, digest in deps._source_hashes()
+    )
+    monkeypatch.setattr(deps, "_source_hashes", lambda: edited)
+    assert engine_main(["gc"]) == 0
+    assert "gc: removed 2 entries" in capsys.readouterr().out
+    assert _stats(capsys, tmp_path / ".repro-cache")["entries"] == 0

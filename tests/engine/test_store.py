@@ -307,6 +307,16 @@ class TestCanonicalBytes:
         store.put(digest, original, 0.0)
         assert canonical_bytes(store.get(digest).experiment) == canonical_bytes(original)
 
+    def test_series_keep_their_order(self, tmp_path):
+        """A hit renders the legend in build order, not sorted: figure8
+        builds T42, T106, T170, and its chart markers follow that order."""
+        store = ResultStore(tmp_path)
+        digest = _digest()
+        original = _experiment()
+        original.series = {name: [(1.0, 2.0)] for name in ("T42", "T106", "T170")}
+        store.put(digest, original, 0.0)
+        assert list(store.get(digest).experiment.series) == ["T42", "T106", "T170"]
+
 
 class TestChunkStore:
     KEY = "b" * 64
@@ -317,6 +327,28 @@ class TestChunkStore:
         path = store.put("explore", self.KEY, chunk)
         assert path.name == f"explore.{self.KEY}.json"
         assert store.contains("explore", self.KEY)
+        assert store.get("explore", self.KEY) == chunk
+
+    def test_envelope_is_compact_and_keeps_key_order(self, tmp_path):
+        store = ChunkStore(tmp_path / "cache")
+        chunk = {"z": 1, "a": {"y": 2, "b": 3}}
+        path = store.put("explore", self.KEY, chunk, code=CODE)
+        text = path.read_text(encoding="utf-8")
+        assert "\n" not in text and ", " not in text
+        back = store.get("explore", self.KEY)
+        assert list(back) == ["z", "a"] and list(back["a"]) == ["y", "b"]
+        # The checksum is over the canonical (sorted) form, so it does
+        # not depend on the order the chunk was written in.
+        assert json.loads(text)["checksum"] == payload_checksum({"a": {"b": 3, "y": 2}, "z": 1})
+
+    def test_sorted_envelopes_still_read(self, tmp_path):
+        """Entries written sorted and indented (the earlier layout) are
+        the same schema and stay readable."""
+        store = ChunkStore(tmp_path / "cache")
+        chunk = {"values": [1.0, 2.0]}
+        path = store.put("explore", self.KEY, chunk, code=CODE)
+        envelope = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(envelope, indent=1, sort_keys=True), encoding="utf-8")
         assert store.get("explore", self.KEY) == chunk
 
     def test_floats_round_trip_bit_exactly(self, tmp_path):
